@@ -12,13 +12,24 @@ crossover is expected and documented in ``docs/engines.md``, not guarded;
 ``solve()`` handles it via ``VECTORIZED_MIN_FLOWS`` (the archived
 ``dispatch`` section).
 
+The ``dispatch`` section re-measures that crossover on every run: both
+engines on a 2- to 6-flow ladder, with the smallest flow count from
+which the vectorized engine is never slower recorded next to the
+``VECTORIZED_MIN_FLOWS`` constant ``solve()`` actually uses.
+
 The *layout* ladder extends the measurements past the paper's scale:
 ``vectorized-dense`` vs ``vectorized-sparse`` from 24 flows up to the
-1k-flow / 10k-link leaf-spine fabric, archived as the ``layout`` section
-the same way ``dispatch`` records the PR 6 fallback.  The sparse-scale
-guard (``-m perf``) additionally pins the tentpole memory claim: the
-1k-flow leg must run entirely on the sparse incidence (dense matrices
-never materialized) whose footprint is a small fraction of the dense one.
+1k-flow / 10k-link leaf-spine fabric, archived as the ``layout`` section.
+The sparse-scale guard (``-m perf``) additionally pins the tentpole
+memory claim: the 1k-flow leg must run entirely on the sparse incidence
+(dense matrices never materialized) whose footprint is a small fraction
+of the dense one.
+
+The ``phases`` section splits a warm step of the 1k-flow leg into the
+engine's profiler phases (``argmax`` / ``admission`` / ``price_update``,
+plus the iteration's own glue), per step in ns; the parts sum exactly to
+the measured iteration wall.  It is recorded with a profiler-only
+telemetry bundle, so no price probes distort it.
 
 Every run archives ``results/BENCH_engines.json`` with the raw numbers.
 The guards are marked ``perf`` so they can be selected alone with
@@ -38,8 +49,12 @@ from conftest import RESULTS_DIR
 from repro.core.compiled import SPARSE_MIN_FLOWS, VectorizedEngine, compile_problem
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.model.problem import Problem
+from repro.obs import NULL_REGISTRY, NullSink, PhaseProfiler, Telemetry
+from repro.solve import VECTORIZED_MIN_FLOWS
+from repro.workloads.bottleneck import link_bottleneck_workload
 from repro.workloads.base import base_workload
 from repro.workloads.datacenter import leaf_spine_workload
+from repro.workloads.generator import GeneratorConfig, generate_workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.scaling import scale_flows
 
@@ -69,6 +84,26 @@ WORKLOADS: tuple[tuple[str, Callable[[], Problem]], ...] = (
     ("flows-x4", lambda: scale_flows(4)),
     ("flows-x8", lambda: scale_flows(8)),
 )
+
+#: The small-problem ladder around ``VECTORIZED_MIN_FLOWS`` (2-6 flows).
+DISPATCH_WORKLOADS: tuple[tuple[str, Callable[[], Problem]], ...] = (
+    ("micro", micro_workload),
+    ("bottleneck", lambda: link_bottleneck_workload(200000.0)),
+    (
+        "generated:flows=4,consumer_nodes=2",
+        lambda: generate_workload(GeneratorConfig(flows=4, consumer_nodes=2)),
+    ),
+    (
+        "generated:flows=5,consumer_nodes=3",
+        lambda: generate_workload(GeneratorConfig(flows=5, consumer_nodes=3)),
+    ),
+    ("base", base_workload),
+)
+
+#: Profiler phases of one vectorized step, in the order they run.
+STEP_PHASES = ("argmax", "admission", "price_update")
+#: Timed steps of the 1k-flow phase split.
+PHASE_TIMED_ITERATIONS = 50
 
 #: Dense-vs-sparse ladder: the paper ladder's top plus fabric workloads
 #: around and past the crossover.  (name, factory, warmup, timed).
@@ -114,21 +149,75 @@ def median_step_ns(
 @pytest.fixture(scope="module")
 def engine_rows() -> list[dict[str, float | int | str]]:
     """Measure both engines on every workload (shared by both tests)."""
-    rows: list[dict[str, float | int | str]] = []
-    for name, factory in WORKLOADS:
-        problem = factory()
-        reference_ns = median_step_ns(problem, "reference")
-        vectorized_ns = median_step_ns(problem, "vectorized")
-        rows.append(
-            {
-                "name": name,
-                "flows": len(problem.flows),
-                "reference_ns": reference_ns,
-                "vectorized_ns": vectorized_ns,
-                "speedup": reference_ns / vectorized_ns,
-            }
-        )
-    return rows
+    return [speedup_row(name, factory()) for name, factory in WORKLOADS]
+
+
+def speedup_row(name: str, problem: Problem) -> dict[str, float | int | str]:
+    reference_ns = median_step_ns(problem, "reference")
+    vectorized_ns = median_step_ns(problem, "vectorized")
+    return {
+        "name": name,
+        "flows": len(problem.flows),
+        "reference_ns": reference_ns,
+        "vectorized_ns": vectorized_ns,
+        "speedup": reference_ns / vectorized_ns,
+    }
+
+
+@pytest.fixture(scope="module")
+def dispatch_rows() -> list[dict[str, float | int | str]]:
+    """Both engines along the 2-6 flow ladder around the dispatch cut."""
+    return [speedup_row(name, factory()) for name, factory in DISPATCH_WORKLOADS]
+
+
+def measured_crossover(rows: list[dict[str, float | int | str]]) -> int:
+    """Smallest flow count from which the vectorized engine never loses."""
+    crossover = max(int(row["flows"]) for row in rows) + 1
+    for row in sorted(rows, key=lambda r: int(r["flows"]), reverse=True):
+        if float(row["speedup"]) < 1.0:
+            break
+        crossover = int(row["flows"])
+    return crossover
+
+
+@pytest.fixture(scope="module")
+def phase_split() -> dict[str, object]:
+    """Per-step profiler phases of the 1k-flow leg (profiler-only bundle)."""
+    problem = leaf_spine_workload(
+        spines=100, leaves=100, flows=1024, leaves_per_flow=4
+    )
+    profiler = PhaseProfiler()
+    telemetry = Telemetry(
+        registry=NULL_REGISTRY, sink=NullSink(), enabled=False, profiler=profiler
+    )
+    optimizer = LRGP(
+        problem, LRGPConfig.adaptive(telemetry=telemetry), engine="vectorized"
+    )
+    # Bare steps, not run(): the phase paths then start at "iteration".
+    for _ in range(SCALE_WARMUP_ITERATIONS):
+        optimizer.step()
+    profiler.reset()
+    for _ in range(PHASE_TIMED_ITERATIONS):
+        optimizer.step()
+    report = profiler.report()
+    per_step: dict[str, float] = {}
+    for phase in STEP_PHASES:
+        stat = report.find(f"iteration.{phase}")
+        assert stat is not None, phase
+        per_step[phase] = stat.wall_ns / PHASE_TIMED_ITERATIONS
+    iteration = report.find("iteration")
+    assert iteration is not None
+    per_step["glue"] = iteration.self_wall_ns / PHASE_TIMED_ITERATIONS
+    per_step["iteration"] = iteration.wall_ns / PHASE_TIMED_ITERATIONS
+    return {
+        "workload": SCALE_WORKLOAD,
+        "timed_iterations": PHASE_TIMED_ITERATIONS,
+        "per_step_ns": per_step,
+        "share": {
+            phase: per_step[phase] / per_step["iteration"]
+            for phase in (*STEP_PHASES, "glue")
+        },
+    }
 
 
 @pytest.fixture(scope="module")
@@ -162,24 +251,31 @@ def layout_rows() -> list[dict[str, float | int | str]]:
     return rows
 
 
-def test_benchmark_engines_archives_results(engine_rows, layout_rows):
+def test_benchmark_engines_archives_results(
+    engine_rows, dispatch_rows, layout_rows, phase_split
+):
+    crossover = measured_crossover(dispatch_rows)
     payload = {
-        "version": 2,
+        "version": 3,
         "timed_iterations": TIMED_ITERATIONS,
         "warmup_iterations": WARMUP_ITERATIONS,
         "guard_workload": GUARD_WORKLOAD,
         "threshold": SPEEDUP_THRESHOLD,
         "workloads": engine_rows,
         "dispatch": {
-            "crossover_flows": 4,
+            "crossover_flows": VECTORIZED_MIN_FLOWS,
+            "measured_crossover_flows": crossover,
             "note": (
-                "speedup < 1.0 at 2 flows (micro), > 2.3 at 6 flows (base); "
                 "solve() falls back to the reference engine below "
-                "VECTORIZED_MIN_FLOWS = 4 and records "
-                "metadata['engine_fallback']"
+                f"VECTORIZED_MIN_FLOWS = {VECTORIZED_MIN_FLOWS} flows and "
+                "records metadata['engine_fallback']; measured_crossover_flows "
+                "is the smallest flow count of this ladder from which the "
+                "vectorized engine is never slower"
             ),
-            "source_workloads": ["micro", "base"],
+            "source_workloads": [row["name"] for row in dispatch_rows],
+            "workloads": dispatch_rows,
         },
+        "phases": phase_split,
         "layout": {
             "crossover_flows": SPARSE_MIN_FLOWS,
             "note": (
@@ -198,12 +294,16 @@ def test_benchmark_engines_archives_results(engine_rows, layout_rows):
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
     print()
-    for row in engine_rows:
+    for row in (*engine_rows, *dispatch_rows):
         print(
-            f"{row['name']:>9} ({row['flows']:>2} flows): reference "
+            f"{row['name']:>36} ({row['flows']:>2} flows): reference "
             f"{row['reference_ns']:>9.0f}ns, vectorized "
             f"{row['vectorized_ns']:>9.0f}ns, speedup {row['speedup']:.2f}x"
         )
+    print(
+        f"measured dispatch crossover: {crossover} flows "
+        f"(VECTORIZED_MIN_FLOWS = {VECTORIZED_MIN_FLOWS})"
+    )
     for row in layout_rows:
         print(
             f"{row['name']:>42} ({row['flows']:>4} flows, "
@@ -212,7 +312,12 @@ def test_benchmark_engines_archives_results(engine_rows, layout_rows):
             f"({row['sparse_speedup']:.2f}x), incidence "
             f"{row['sparse_bytes']}/{row['dense_bytes']} bytes"
         )
-    for row in engine_rows:
+    per_step = phase_split["per_step_ns"]
+    print(
+        "1k-flow step phases (ns): "
+        + ", ".join(f"{name} {per_step[name]:.0f}" for name in per_step)
+    )
+    for row in (*engine_rows, *dispatch_rows):
         assert row["reference_ns"] > 0.0
         assert row["vectorized_ns"] > 0.0
     for row in layout_rows:
@@ -255,3 +360,11 @@ def test_sparse_scale_1k_flows(layout_rows):
     assert not engine.compiled.dense_materialized(), (
         "sparse-layout solve materialized a dense incidence matrix"
     )
+
+
+def test_phase_split_sums_to_iteration(phase_split):
+    """The archived phases partition the step: self times sum exactly."""
+    per_step = phase_split["per_step_ns"]
+    parts = sum(per_step[name] for name in (*STEP_PHASES, "glue"))
+    assert parts == pytest.approx(per_step["iteration"], rel=1e-12)
+    assert all(per_step[name] > 0.0 for name in STEP_PHASES)

@@ -14,19 +14,19 @@ as batched array ops (:class:`VectorizedEngine`):
   no closed form) fall back to a bracketed numeric bisection — the
   *fallback column* — which matches the reference root finder within its
   tolerance.
-* **Consumer allocation** (Algorithm 2, eq. 10-11) — benefit/cost ratios
-  for all classes at once, then a *per-node bucketed partial sort*: nodes
-  whose budget covers every class admit them all without sorting, and
-  contended nodes pop classes off a max-heap (descending ratio, ties by
-  class id — exactly the reference order) only until the budget is spent,
-  so admission work is near-linear in the number of admitted classes.
-  The fill runs over plain Python floats so admission counts match the
-  reference bit for bit.
-* **Price updates** (eq. 12-13) — scalar updates mirroring the reference
-  controllers exactly, including the adaptive-gamma heuristic.  The node
-  and link axes are small relative to the class axis, so plain Python
-  beats numpy's per-op overhead there; the flow and class axes — where
-  Table 2 scales — are the vectorized ones.
+* **Consumer allocation** (Algorithm 2, eq. 10-11) — a *presorted greedy
+  fill*: classes that saturate in any order are admitted by one masked
+  assignment, the contended rest is ordered by one stable ``lexsort`` per
+  step (the reference order), and a scalar loop over plain Python floats
+  fills each node's budget in that order until it provably admits nothing
+  more.  Admission counts match the reference bit for bit.
+* **Price updates** (eq. 12-13) — eq. 13 is one elementwise
+  ``max(p + γ(u - c), 0)`` over the link axis (10k+ links on datacenter
+  fabrics), bit-identical to the scalar controller.  Eq. 12 and the
+  adaptive-γ heuristic stay a scalar loop mirroring
+  :class:`~repro.core.prices.NodePriceController`: the consumer-node axis
+  is short (3 nodes in the base workload, 100 on the 1k-flow fabric), and
+  there numpy's per-call overhead costs more than the loop.
 
 Two lowered *layouts* share one compiled form:
 
@@ -62,7 +62,6 @@ reference driver instantiates.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -704,17 +703,18 @@ class VectorizedEngine(LRGPEngine):
     def rates(self) -> dict[FlowId, float]:
         return self.compiled.rates_dict(self._rates)
 
+    # Populations and link prices live in numpy arrays; ``tolist()`` hands
+    # out plain Python ints and floats, which canonical hashes and
+    # ``SolveResult`` depend on.
+
     def populations(self) -> dict[ClassId, int]:
-        return {
-            cid: self._populations[j]
-            for j, cid in enumerate(self.compiled.class_ids)
-        }
+        return dict(zip(self.compiled.class_ids, self._populations.tolist()))
 
     def node_prices(self) -> dict[NodeId, float]:
         return dict(zip(self.compiled.node_ids, self._node_price))
 
     def link_prices(self) -> dict[LinkId, float]:
-        return dict(zip(self.compiled.link_ids, self._link_price))
+        return dict(zip(self.compiled.link_ids, self._link_price.tolist()))
 
     def node_gammas(self) -> dict[NodeId, float]:
         return dict(zip(self.compiled.node_ids, self._gamma))
@@ -738,11 +738,12 @@ class VectorizedEngine(LRGPEngine):
                     last_delta=self._last_delta[b],
                     has_last=self._has_last[b],
                 )
-            for l, lid in enumerate(previous.link_ids):
-                old_links[lid] = (
-                    float(previous.link_capacity[l]),
-                    self._link_price[l],
+            old_links = dict(
+                zip(
+                    previous.link_ids,
+                    zip(previous.link_capacity.tolist(), self._link_price.tolist()),
                 )
+            )
 
         # Lowering is the one compile-shaped cost of a (re)bind, so it gets
         # its own profiler phase; the reference engine has no counterpart
@@ -754,15 +755,17 @@ class VectorizedEngine(LRGPEngine):
             self._layout == "auto" and compiled.n_flows >= SPARSE_MIN_FLOWS
         )
         self._rates = compiled.rates_vector(old_rates or None)
-        self._populations: list[int] = [
-            int(n) for n in compiled.populations_vector(old_populations or None)
-        ]
+        self._populations: IntArray = compiled.populations_vector(
+            old_populations or None
+        )
 
         config = self._config
         n_nodes, n_links = compiled.n_nodes, compiled.n_links
-        # Node/link controller state lives in plain Python lists: the axes
-        # are short and the scalar update loops mirror the reference
-        # controllers' float arithmetic exactly.
+        # Node controller state lives in plain Python lists: the node axis
+        # is short (3 consumer nodes in the base workload, 100 on the
+        # 1k-flow fabric), and at that length a scalar loop beats numpy's
+        # per-call overhead on eq. 12's dozen elementwise steps.  Link
+        # prices (10k+ at datacenter scale) are an array.
         initial_node_price = float(config.initial_node_price)
         self._node_price: list[float] = [initial_node_price] * n_nodes
         self._gamma: list[float] = [self._gamma_initial] * n_nodes
@@ -777,19 +780,18 @@ class VectorizedEngine(LRGPEngine):
                 self._gamma[b] = state.gamma
                 self._last_delta[b] = state.last_delta
                 self._has_last[b] = state.has_last
-        initial_link_price = float(config.initial_link_price)
-        self._link_price: list[float] = [initial_link_price] * n_links
-        for l, lid in enumerate(compiled.link_ids):
-            entry = old_links.get(lid)
-            if entry is not None and close_enough(
-                entry[0], float(compiled.link_capacity[l])
+        self._link_price = np.full(n_links, float(config.initial_link_price))
+        if old_links:
+            for l, (lid, capacity) in enumerate(
+                zip(compiled.link_ids, compiled.link_capacity.tolist())
             ):
-                self._link_price[l] = entry[1]
+                entry = old_links.get(lid)
+                if entry is not None and close_enough(entry[0], capacity):
+                    self._link_price[l] = entry[1]
 
         # Static per-bind precomputation: which utility families are present
-        # (to skip dead closed-form columns), the power-family exponent
-        # transforms, and plain-Python views of the admission inputs — the
-        # greedy fill is scalar work, where lists beat numpy indexing.
+        # (to skip dead closed-form columns) and the power-family exponent
+        # transforms.
         pow_flows = compiled.flow_family == FAMILY_POW
         self._has_log_flows = bool(np.any(compiled.flow_family == FAMILY_LOG))
         self._has_pow_flows = bool(np.any(pow_flows))
@@ -801,15 +803,10 @@ class VectorizedEngine(LRGPEngine):
         self._generic_flow_positions = [
             int(i) for i in np.nonzero(compiled.flow_family == FAMILY_GENERIC)[0]
         ]
-        self._node_class_lists = [
-            [int(j) for j in members] for members in compiled.node_class_positions
-        ]
-        self._max_consumers_list = [int(m) for m in compiled.max_consumers]
-        # Budget needed to admit every chargeable class at n^max, assuming
-        # its flow rate (the ratio-independent part); rate joins per step.
+        # n^max as floats, for the per-node budget that saturates every
+        # chargeable class (the rate-dependent unit cost joins per step).
         self._max_consumers_float = compiled.max_consumers.astype(np.float64)
         self._node_capacity_list = [float(c) for c in compiled.node_capacity]
-        self._link_capacity_list = [float(c) for c in compiled.link_capacity]
 
         telemetry = config.telemetry
         if telemetry.enabled:
@@ -838,14 +835,14 @@ class VectorizedEngine(LRGPEngine):
             # 1. Rate allocation (Algorithm 1): prices from last iteration's
             #    populations, then the batched argmax of eq. 7.
             with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
-                populations = np.array(self._populations, dtype=np.float64)
+                populations = self._populations.astype(np.float64)
                 flow_prices = (
                     compiled.flow_prices_sparse if sparse else compiled.flow_prices
                 )
                 prices = flow_prices(
                     populations,
                     np.array(self._node_price, dtype=np.float64),
-                    np.array(self._link_price, dtype=np.float64),
+                    self._link_price,
                 )
                 self._rates = self._solve_rates(prices, populations)
 
@@ -864,13 +861,14 @@ class VectorizedEngine(LRGPEngine):
                     for b, nid in enumerate(compiled.node_ids):
                         slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
                 if telemetry.enabled:
+                    admitted = new_populations.tolist()
                     for b, nid in enumerate(compiled.node_ids):
                         telemetry.emit(
                             AdmissionEvent(
                                 node=nid,
                                 admitted={
-                                    compiled.class_ids[j]: new_populations[j]
-                                    for j in self._node_class_lists[b]
+                                    compiled.class_ids[j]: admitted[j]
+                                    for j in compiled.node_class_positions[b].tolist()
                                 },
                                 used=used[b],
                                 capacity=self._node_capacity_list[b],
@@ -885,19 +883,19 @@ class VectorizedEngine(LRGPEngine):
                     link_usages = (
                         compiled.link_usages_sparse if sparse else compiled.link_usages
                     )
-                    usage = link_usages(self._rates).tolist()
+                    usage = link_usages(self._rates)
                     self._update_link_prices(usage)
                     if snapshots:
-                        for l, lid in enumerate(compiled.link_ids):
-                            slack[f"link:{lid}"] = (
-                                self._link_capacity_list[l] - usage[l]
+                        slack.update(
+                            zip(
+                                [f"link:{lid}" for lid in compiled.link_ids],
+                                (compiled.link_capacity - usage).tolist(),
                             )
+                        )
 
             # Zero populations contribute exactly 0, so the dot product
             # equals the reference's skip-if-empty objective sum (eq. 6).
-            utility = float(
-                np.dot(np.array(new_populations, dtype=np.float64), values)
-            )
+            utility = float(np.dot(new_populations.astype(np.float64), values))
 
         return StepOutcome(utility=utility, slack=slack)
 
@@ -997,103 +995,129 @@ class VectorizedEngine(LRGPEngine):
 
     def _admit(
         self, values: FloatArray
-    ) -> tuple[list[int], list[float], list[float]]:
-        """Greedy admission (Algorithm 2), bucketed per node.
+    ) -> tuple[IntArray, list[float], list[float]]:
+        """Greedy admission (Algorithm 2) for every node at once.
 
-        Ratios (eq. 10) are computed for all classes at once; each node
-        then fills its budget independently.  Two bucket regimes keep the
-        work near-linear in the *admitted* classes instead of the sorted
-        ones:
+        Everything that does not depend on the fill order is array work:
+        the unit costs, the starting budgets ``capacity - flow cost``, and
+        each node's *need* — the budget that saturates every chargeable
+        class at ``n^max``.  Two kinds of class saturate regardless of
+        order and skip the fill:
 
-        * **uncovered nodes** (budget >= cost of admitting everything, one
-          vectorized per-node reduction): every class saturates at
-          ``n^max`` regardless of order, so no sort happens at all;
-        * **contended nodes**: chargeable classes go on a max-heap keyed
-          ``(-ratio, position)`` — descending ratio, ties by class id,
-          exactly the reference's sort key — and are popped only until
-          the budget is spent.  Classes never popped keep population 0,
-          which is precisely what the reference's post-exhaustion loop
-          assigns them.
+        * zero-cost classes, which the reference admits in full without
+          touching the budget;
+        * every class of a *covered* node (need <= budget).
 
-        Zero-cost classes admit everyone without touching the budget in
-        the reference, so hoisting them out of the ordering is exact.
-        The fill itself runs over plain Python floats so admission counts
-        match the reference bit for bit.  Returns ``(populations, used,
-        best_unsatisfied_ratio)``.
+        The remaining *contended* classes get their ratios (eq. 10) and
+        are ordered by one stable ``lexsort`` on (node, descending ratio);
+        stability breaks ties by class position, i.e. class id — exactly
+        the reference's sort key.  The budget fill then walks that order as
+        a scalar loop over plain Python floats, with the reference's
+        flooring and sequential ``budget -= spent``, so admission counts
+        match it bit for bit.  A node's fill stops once its budget is below
+        the cheapest contended cost by more than the flooring slack can
+        bridge: every later class would admit 0 and spend exactly 0.0,
+        which is all the reference's remaining iterations do.
+
+        BC(b,t) (eq. 11) falls out of the same walk: in descending-ratio
+        order the first unsatisfied class with a finite ratio has the best
+        one, and only contended classes can be unsatisfied.  Returns
+        ``(populations, used, best_unsatisfied_ratio)``, the last two as
+        per-node lists like the rest of the node-axis state.
         """
         compiled = self.compiled
-        class_rate = self._rates[compiled.class_flow]
-        unit_cost = compiled.consumer_cost * class_rate
-        ratios = np.zeros(compiled.n_classes, dtype=np.float64)
+        class_node = compiled.class_node
+        max_consumers = compiled.max_consumers
+        n_nodes = compiled.n_nodes
+        unit_cost = compiled.consumer_cost * self._rates[compiled.class_flow]
+        weights = unit_cost * self._max_consumers_float
         chargeable = unit_cost > 0.0
-        np.divide(values, unit_cost, out=ratios, where=chargeable)
-        free_and_useful = ~chargeable & (values > 0.0)
-        if free_and_useful.any():
-            ratios[free_and_useful] = np.inf
+        free = None
+        if np.count_nonzero(chargeable) < compiled.n_classes:
+            free = ~chargeable
+            weights[free] = 0.0
 
         if self._sparse:
-            flow_cost = compiled.node_flow_costs_sparse(self._rates).tolist()
+            flow_cost = compiled.node_flow_costs_sparse(self._rates)
         else:
-            flow_cost = (compiled.flow_node_cost @ self._rates).tolist()
-        # Budget needed to saturate every chargeable class, per node: when
-        # it fits, the greedy outcome is order-independent (see docstring).
-        need = np.bincount(
-            compiled.class_node,
-            weights=np.where(chargeable, unit_cost * self._max_consumers_float, 0.0),
-            minlength=compiled.n_nodes,
-        ).tolist()
+            flow_cost = compiled.flow_node_cost @ self._rates
+        budget = compiled.node_capacity - flow_cost
+        need = np.bincount(class_node, weights=weights, minlength=n_nodes)
+        saturated = (need <= budget)[class_node]
+        if free is not None:
+            saturated |= free
+        populations = max_consumers * saturated
+        # Consumer cost per node: the need, unless the fill below replaces
+        # it (0 where no class is chargeable).
+        consumer_total = need.tolist()
+        best = [0.0] * n_nodes
+        contended = (~saturated).nonzero()[0]
+        if not contended.size:
+            return populations, (flow_cost + need).tolist(), best
 
-        cost_list = unit_cost.tolist()
-        ratio_list = ratios.tolist()
-        max_list = self._max_consumers_list
-        populations = [0] * compiled.n_classes
-        used: list[float] = []
-        best: list[float] = []
-        isfinite = math.isfinite
-        heappush_all = heapq.heapify
-        heappop = heapq.heappop
-        for b, capacity in enumerate(self._node_capacity_list):
-            node_flow_cost = flow_cost[b]
-            budget = capacity - node_flow_cost
-            consumer_total = 0.0
-            members = self._node_class_lists[b]
-            if need[b] <= budget:
-                # Uncovered: everything saturates, in any order.
-                for j in members:
-                    populations[j] = max_list[j]
-                consumer_total = need[b]
-            else:
-                heap: list[tuple[float, int]] = []
-                for j in members:
-                    if cost_list[j] <= 0.0:
-                        populations[j] = max_list[j]
-                    else:
-                        heap.append((-ratio_list[j], j))
-                heappush_all(heap)
-                while heap and budget > 0.0:
-                    _, j = heappop(heap)
-                    cost_per_consumer = cost_list[j]
-                    admitted = int(budget / cost_per_consumer + _FLOOR_SLACK)
-                    cap = max_list[j]
-                    if admitted > cap:
-                        admitted = cap
-                    populations[j] = admitted
-                    spent = admitted * cost_per_consumer
-                    budget -= spent
-                    consumer_total += spent
-            # BC(b,t) (eq. 11): best ratio among still-unsatisfied classes,
-            # 0 when there are none (max(..., default=0.0) in the reference).
-            best_ratio: float | None = None
-            for j in members:
-                ratio = ratio_list[j]
-                if (
-                    populations[j] < max_list[j]
-                    and (best_ratio is None or ratio > best_ratio)
-                    and isfinite(ratio)
-                ):
-                    best_ratio = ratio
-            used.append(node_flow_cost + consumer_total)
-            best.append(0.0 if best_ratio is None else best_ratio)
+        contended_node = class_node[contended]
+        costs = unit_cost[contended]
+        # Eq. 10; contended classes are chargeable, so costs are > 0.
+        # Saturated classes never enter BC(b,t), so they need no ratio.
+        ratios = values[contended] / costs
+        rank = np.lexsort((-ratios, contended_node))
+        order = contended[rank]
+        costs = costs[rank]
+        # Below (1 - 1e-8) x the cheapest contended cost, budget / cost
+        # + 1e-9 floors to 0 for every class left on the node.
+        exhausted = float(np.minimum.reduce(costs)) * (1.0 - 1e-8)
+        costs_list = costs.tolist()
+        caps = max_consumers[order].tolist()
+        # Ratios are read only for the few unsatisfied classes BC(b,t)
+        # inspects, so they stay in the array.
+        ratio_at = ratios[rank].item
+        filled: list[int] = []
+        counts: list[int] = []
+        right = 0
+        for b, (size, node_budget) in enumerate(
+            zip(np.bincount(contended_node, minlength=n_nodes).tolist(), budget.tolist())
+        ):
+            if not size:
+                continue
+            left, right = right, right + size
+            total = 0.0
+            best_ratio = None
+            stop = right
+            for i in range(left, right):
+                if node_budget < exhausted:
+                    stop = i
+                    break
+                cost = costs_list[i]
+                count = int(node_budget / cost + _FLOOR_SLACK)
+                cap = caps[i]
+                if count >= cap:
+                    count = cap
+                elif best_ratio is None:
+                    ratio = ratio_at(i)
+                    if -math.inf < ratio < math.inf:
+                        best_ratio = ratio
+                if count:
+                    # A class admitting 0 spends exactly 0.0: skipping the
+                    # subtraction leaves the budget bit-identical.
+                    filled.append(i)
+                    counts.append(count)
+                    spent = count * cost
+                    node_budget -= spent
+                    total += spent
+            if best_ratio is None:
+                # Every class from ``stop`` on admits 0 and is unsatisfied
+                # unless its n^max is 0.
+                for i in range(stop, right):
+                    if caps[i]:
+                        ratio = ratio_at(i)
+                        if -math.inf < ratio < math.inf:
+                            best_ratio = ratio
+                            break
+            consumer_total[b] = total
+            if best_ratio is not None:
+                best[b] = best_ratio
+        populations[order.take(filled)] = counts
+        used = [cost + total for cost, total in zip(flow_cost.tolist(), consumer_total)]
         return populations, used, best
 
     # -- price updates ----------------------------------------------------------
@@ -1160,30 +1184,32 @@ class VectorizedEngine(LRGPEngine):
                     capacity=capacity,
                 )
 
-    def _update_link_prices(self, usage: list[float]) -> None:
-        """Eq. 13 (gradient projection) per bottleneck link, mirroring
-        :class:`LinkPriceController` exactly."""
-        prices = self._link_price
-        probes = self._link_probes
+    def _update_link_prices(self, usage: FloatArray) -> None:
+        """Eq. 13 (gradient projection) for every bottleneck link at once,
+        mirroring :class:`LinkPriceController` exactly: one elementwise
+        ``max(p + γ(u - c), 0)``, with the probes walked only when
+        attached."""
+        if not (usage.min() >= 0.0 and usage.max() < math.inf):
+            valid = (usage >= 0.0) & (usage < math.inf)
+            bad = float(usage[int(np.argmin(valid))])
+            raise ValueError(f"usage must be finite and non-negative, got {bad}")
+        capacity = self.compiled.link_capacity
         gamma = self._link_gamma
-        isfinite = math.isfinite
-        for l, capacity in enumerate(self._link_capacity_list):
-            usage_l = usage[l]
-            if not isfinite(usage_l) or usage_l < 0.0:
-                raise ValueError(
-                    f"usage must be finite and non-negative, got {usage_l}"
-                )
-            old_price = prices[l]
-            new_price = max(old_price + gamma * (usage_l - capacity), 0.0)
-            prices[l] = new_price
-            if probes:
-                probe = probes[l]
+        old_price = self._link_price
+        new_price = old_price + gamma * (usage - capacity)
+        np.maximum(new_price, 0.0, out=new_price)
+        self._link_price = new_price
+        probes = self._link_probes
+        if probes:
+            for probe, old, new, usage_l, cap in zip(
+                probes,
+                old_price.tolist(),
+                new_price.tolist(),
+                usage.tolist(),
+                capacity.tolist(),
+            ):
                 if probe is not None:
                     probe.price_update(
-                        old_price,
-                        new_price,
-                        gamma,
-                        "gradient",
-                        usage=usage_l,
-                        capacity=capacity,
+                        old, new, gamma, "gradient", usage=usage_l, capacity=cap
                     )
+
