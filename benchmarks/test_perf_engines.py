@@ -17,13 +17,13 @@ engines on a 2- to 6-flow ladder, with the smallest flow count from
 which the vectorized engine is never slower recorded next to the
 ``VECTORIZED_MIN_FLOWS`` constant ``solve()`` actually uses.
 
-The *layout* ladder extends the measurements past the paper's scale:
-``vectorized-dense`` vs ``vectorized-sparse`` from 24 flows up to the
-1k-flow / 10k-link leaf-spine fabric, archived as the ``layout`` section.
-The sparse-scale guard (``-m perf``) additionally pins the tentpole
-memory claim: the 1k-flow leg must run entirely on the sparse incidence
-(dense matrices never materialized) whose footprint is a small fraction
-of the dense one.
+The *scale* ladder extends the measurements past the paper's scale: the
+vectorized engine's step time from 24 flows up to the 1k-flow / 10k-link
+leaf-spine fabric, with each leg's incidence nonzeros and COO footprint
+next to what dense incidence matrices would need, archived as the
+``scale`` section.  The sparse-scale guard (``-m perf``) additionally
+pins the memory claim: at the 1k-flow leg the COO footprint must be a
+small fraction of the dense one.
 
 The ``phases`` section splits a warm step of the 1k-flow leg into the
 engine's profiler phases (``argmax`` / ``admission`` / ``price_update``,
@@ -46,7 +46,7 @@ from collections.abc import Callable
 import pytest
 from conftest import RESULTS_DIR
 
-from repro.core.compiled import SPARSE_MIN_FLOWS, VectorizedEngine, compile_problem
+from repro.core.compiled import VectorizedEngine, compile_problem
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.model.problem import Problem
 from repro.obs import NULL_REGISTRY, NullSink, PhaseProfiler, Telemetry
@@ -68,7 +68,7 @@ TIMED_ITERATIONS = 200
 
 #: The scale guard's workload: >= 1k flows over a >= 10k-link fabric.
 SCALE_WORKLOAD = "leafspine:flows=1024,leaves=100,leaves_per_flow=4,spines=100"
-#: Reduced iteration counts for the large layout legs (per-step cost is
+#: Reduced iteration counts for the large scale legs (per-step cost is
 #: milliseconds there; medians stabilize quickly).
 SCALE_WARMUP_ITERATIONS = 5
 SCALE_TIMED_ITERATIONS = 25
@@ -105,9 +105,9 @@ STEP_PHASES = ("argmax", "admission", "price_update")
 #: Timed steps of the 1k-flow phase split.
 PHASE_TIMED_ITERATIONS = 50
 
-#: Dense-vs-sparse ladder: the paper ladder's top plus fabric workloads
-#: around and past the crossover.  (name, factory, warmup, timed).
-LAYOUT_WORKLOADS: tuple[
+#: Scale ladder: the paper ladder's top plus fabric workloads up to the
+#: 1k-flow leg.  (name, factory, warmup, timed).
+SCALE_WORKLOADS: tuple[
     tuple[str, Callable[[], Problem], int, int], ...
 ] = (
     ("flows-x4", lambda: scale_flows(4), WARMUP_ITERATIONS, TIMED_ITERATIONS),
@@ -221,19 +221,17 @@ def phase_split() -> dict[str, object]:
 
 
 @pytest.fixture(scope="module")
-def layout_rows() -> list[dict[str, float | int | str]]:
-    """Measure both lowered layouts along the scale ladder.
+def scale_rows() -> list[dict[str, float | int | str]]:
+    """Measure the vectorized engine along the scale ladder.
 
     The reference engine is not run here — at the 1k-flow leg a single
     reference iteration costs more than the whole timed sample; its
     speedup story is already covered by ``engine_rows``.
     """
     rows: list[dict[str, float | int | str]] = []
-    for name, factory, warmup, timed in LAYOUT_WORKLOADS:
+    for name, factory, warmup, timed in SCALE_WORKLOADS:
         problem = factory()
         compiled = compile_problem(problem)
-        dense_ns = median_step_ns(problem, "vectorized-dense", warmup, timed)
-        sparse_ns = median_step_ns(problem, "vectorized-sparse", warmup, timed)
         rows.append(
             {
                 "name": name,
@@ -243,20 +241,18 @@ def layout_rows() -> list[dict[str, float | int | str]]:
                 "incidence_nnz": compiled.nnz_link + compiled.nnz_node,
                 "sparse_bytes": compiled.sparse_nbytes(),
                 "dense_bytes": compiled.dense_nbytes(),
-                "dense_ns": dense_ns,
-                "sparse_ns": sparse_ns,
-                "sparse_speedup": dense_ns / sparse_ns,
+                "vectorized_ns": median_step_ns(problem, "vectorized", warmup, timed),
             }
         )
     return rows
 
 
 def test_benchmark_engines_archives_results(
-    engine_rows, dispatch_rows, layout_rows, phase_split
+    engine_rows, dispatch_rows, scale_rows, phase_split
 ):
     crossover = measured_crossover(dispatch_rows)
     payload = {
-        "version": 3,
+        "version": 4,
         "timed_iterations": TIMED_ITERATIONS,
         "warmup_iterations": WARMUP_ITERATIONS,
         "guard_workload": GUARD_WORKLOAD,
@@ -276,17 +272,15 @@ def test_benchmark_engines_archives_results(
             "workloads": dispatch_rows,
         },
         "phases": phase_split,
-        "layout": {
-            "crossover_flows": SPARSE_MIN_FLOWS,
+        "scale": {
             "note": (
-                "dense and sparse layouts tie (0.94-1.05x) through ~64 "
-                "flows; sparse wins past the crossover and holds a "
-                f">={MEMORY_RATIO_FLOOR:.0f}x incidence-memory advantage at "
-                "the 1k-flow fabric leg; layout='auto' switches at "
-                "SPARSE_MIN_FLOWS"
+                "vectorized step time along the scale ladder; sparse_bytes "
+                "is the COO incidence footprint, dense_bytes what dense "
+                "incidence matrices would need (guarded at "
+                f">={MEMORY_RATIO_FLOOR:.0f}x at the 1k-flow fabric leg)"
             ),
-            "source_workloads": [row["name"] for row in layout_rows],
-            "workloads": layout_rows,
+            "source_workloads": [row["name"] for row in scale_rows],
+            "workloads": scale_rows,
         },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -304,12 +298,11 @@ def test_benchmark_engines_archives_results(
         f"measured dispatch crossover: {crossover} flows "
         f"(VECTORIZED_MIN_FLOWS = {VECTORIZED_MIN_FLOWS})"
     )
-    for row in layout_rows:
+    for row in scale_rows:
         print(
             f"{row['name']:>42} ({row['flows']:>4} flows, "
-            f"{row['links']:>5} links): dense {row['dense_ns']:>10.0f}ns, "
-            f"sparse {row['sparse_ns']:>10.0f}ns "
-            f"({row['sparse_speedup']:.2f}x), incidence "
+            f"{row['links']:>5} links): vectorized "
+            f"{row['vectorized_ns']:>10.0f}ns, incidence "
             f"{row['sparse_bytes']}/{row['dense_bytes']} bytes"
         )
     per_step = phase_split["per_step_ns"]
@@ -320,9 +313,8 @@ def test_benchmark_engines_archives_results(
     for row in (*engine_rows, *dispatch_rows):
         assert row["reference_ns"] > 0.0
         assert row["vectorized_ns"] > 0.0
-    for row in layout_rows:
-        assert row["dense_ns"] > 0.0
-        assert row["sparse_ns"] > 0.0
+    for row in scale_rows:
+        assert row["vectorized_ns"] > 0.0
 
 
 @pytest.mark.perf
@@ -336,14 +328,13 @@ def test_vectorized_speedup_at_24_flows(engine_rows):
 
 
 @pytest.mark.perf
-def test_sparse_scale_1k_flows(layout_rows):
-    """The tentpole claim: 1k+ flows / 10k+ links on nonzero-sized arrays.
+def test_sparse_scale_1k_flows(scale_rows):
+    """1k+ flows / 10k+ links solve on nonzero-sized arrays.
 
-    The auto layout must pick sparse at this size, solve without ever
-    materializing a dense incidence matrix, and the sparse footprint must
-    be a small fraction of what the dense matrices would occupy.
+    The COO footprint must be a small fraction of what dense incidence
+    matrices would occupy.
     """
-    row = next(r for r in layout_rows if r["name"] == SCALE_WORKLOAD)
+    row = next(r for r in scale_rows if r["name"] == SCALE_WORKLOAD)
     assert row["flows"] >= 1024
     assert row["links"] >= 10_000
     assert row["dense_bytes"] / row["sparse_bytes"] >= MEMORY_RATIO_FLOOR
@@ -352,14 +343,10 @@ def test_sparse_scale_1k_flows(layout_rows):
         spines=100, leaves=100, flows=1024, leaves_per_flow=4
     )
     engine = VectorizedEngine(problem, LRGPConfig.adaptive())
-    assert engine.sparse, "auto layout must go sparse at 1k flows"
     outcome = None
     for _ in range(SCALE_WARMUP_ITERATIONS):
         outcome = engine.step()
     assert outcome is not None and outcome.utility > 0.0
-    assert not engine.compiled.dense_materialized(), (
-        "sparse-layout solve materialized a dense incidence matrix"
-    )
 
 
 def test_phase_split_sums_to_iteration(phase_split):

@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.core.consumer_allocation import allocate_all_consumers
 from repro.model.allocation import (
@@ -58,6 +57,9 @@ class CoordinateResult:
 
 def _solve_rate_stage(problem: Problem, allocation: Allocation) -> dict[str, float]:
     """Exactly maximize utility over rates with populations frozen."""
+    # Imported here so that ``import repro`` does not load scipy.
+    from scipy.optimize import minimize
+
     flow_ids = sorted(problem.flows)
     index = {flow_id: position for position, flow_id in enumerate(flow_ids)}
     lower = np.array([problem.flows[f].rate_min for f in flow_ids])

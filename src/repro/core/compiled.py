@@ -11,9 +11,8 @@ as batched array ops (:class:`VectorizedEngine`):
   closed-form argmax per utility family: all-log flows via
   ``sum(n*scale)/price - offset``, all-power flows via the collapsed
   inverse derivative.  Flows whose classes mix shapes (or use a shape with
-  no closed form) fall back to a bracketed numeric bisection — the
-  *fallback column* — which matches the reference root finder within its
-  tolerance.
+  no closed form) fall back to the *fallback column*: the reference rate
+  solver (:func:`~repro.utility.calculus.solve_rate`) itself, per flow.
 * **Consumer allocation** (Algorithm 2, eq. 10-11) — a *presorted greedy
   fill*: classes that saturate in any order are admitted by one masked
   assignment, the contended rest is ordered by one stable ``lexsort`` per
@@ -28,31 +27,18 @@ as batched array ops (:class:`VectorizedEngine`):
   is short (3 nodes in the base workload, 100 on the 1k-flow fabric), and
   there numpy's per-call overhead costs more than the loop.
 
-Two lowered *layouts* share one compiled form:
-
-* **dense** — the link/flow and node/flow incidence as dense matrices
-  (``link_cost``, ``flow_node_cost``), prices and usages as matrix
-  products.  Memory and per-iteration cost are ``O(n_links*n_flows +
-  n_nodes*n_flows)`` — fine at paper scale, quadratic death at
-  datacenter scale.
-* **sparse** — the same incidence as COO-style index arrays
-  (``ln_link``/``ln_flow``/``ln_cost`` and ``fn_node``/``fn_flow``/
-  ``fn_cost``), prices and usages as ``np.bincount`` scatter-adds.
-  Memory and per-iteration cost scale with the number of incidence
-  *nonzeros* — a flow touches only the links and nodes on its route —
-  so 1k+ flows over 10k+ links stay cheap.  The dense matrices are
-  materialized lazily only if something asks for them.
-
-:class:`VectorizedEngine` picks the layout per problem (``layout="auto"``
-switches to sparse at :data:`SPARSE_MIN_FLOWS` flows, the measured
-crossover in ``benchmarks/results/BENCH_engines.json``); ``"dense"`` and
-``"sparse"`` force it, and the registry exposes all three as
-``"vectorized"`` / ``"vectorized-dense"`` / ``"vectorized-sparse"``.
+The link/flow and node/flow incidence is stored as COO-style index arrays
+(``ln_link``/``ln_flow``/``ln_cost`` and ``fn_node``/``fn_flow``/
+``fn_cost``); prices and usages are ``np.bincount`` scatter-adds over
+them.  Memory and per-iteration cost scale with the number of incidence
+*nonzeros* — a flow touches only the links and nodes on its route — so
+1k+ flows over 10k+ links stay cheap, and at paper scale the scatter-adds
+tie the matrix products a dense layout would use.
 
 The engine is validated against the reference trajectory within
 :data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL` at every iteration
-in *both* layouts (``tests/core/test_engines.py``); the speedup and the
-dense/sparse crossover are tracked in ``benchmarks/test_perf_engines.py``.
+(``tests/core/test_engines.py``); the speedup and the incidence footprint
+are tracked in ``benchmarks/test_perf_engines.py``.
 
 Scope notes: the node axis of the lowered arrays covers *consumer* nodes
 (the only nodes carrying prices) and the link axis covers *finite-capacity*
@@ -64,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,6 +65,7 @@ from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
 from repro.obs.events import AdmissionEvent, now_ns
 from repro.utility.base import UtilityFunction
+from repro.utility.calculus import solve_rate
 from repro.utility.functions import LogUtility, PowerUtility, ScaledUtility
 from repro.utility.tolerance import close_enough, is_zero
 
@@ -94,25 +80,6 @@ IntArray = NDArray[np.int64]
 FAMILY_LOG = 0
 FAMILY_POW = 1
 FAMILY_GENERIC = 2
-
-#: The lowered layouts :class:`VectorizedEngine` accepts.
-LAYOUTS = ("auto", "dense", "sparse")
-
-#: Smallest flow count at which ``layout="auto"`` picks the sparse layout.
-#: Measured crossover (``benchmarks/results/BENCH_engines.json``,
-#: ``"layout"`` section): below it the incidence matrices are small enough
-#: that one BLAS matmul ties or beats three bincount scatter-adds (ratios
-#: 0.94-1.05x up to ~64 flows); from ~128 flows the dense products touch
-#: mostly-zero cells and the sparse layout wins on time (1.2x at 1k flows
-#: over a 10k-link fabric) and decisively on memory (the 1k-flow leaf-spine
-#: incidence is ~290x smaller sparse than dense).
-SPARSE_MIN_FLOWS = 128
-
-#: Bisection tolerances for the fallback column, matching the reference
-#: root finder (``repro.utility.calculus``).
-_BISECT_XTOL = 1e-10
-_BISECT_RTOL = 1e-12
-_BISECT_MAX_ITER = 200
 
 
 def _classify(
@@ -139,22 +106,18 @@ class CompiledProblem:
     """A :class:`Problem` lowered to index and incidence arrays.
 
     Index vocabularies are sorted tuples of ids; every array is positioned
-    on them.  The incidence is stored *sparse-first* as parallel COO-style
-    index arrays in row-major order: ``(ln_link, ln_flow, ln_cost)`` holds
-    one entry per (bottleneck link, flow-on-it) pair — the paper's ``L``
-    restricted to its nonzero pattern — and ``(fn_node, fn_flow,
-    fn_cost)`` one entry per (consumer node, flow-at-it) pair (``F``).
-    ``consumer_cost`` holds ``G`` for each class at its hosting node and
-    ``class_fn_index`` points each class at its node/flow cell in the
-    ``fn_*`` arrays (the class's node is always on its flow's route, so
-    the cell always exists) for one-pass scatter-add of the
-    population-dependent eq. 9 coefficients.  The dense matrices
-    (:attr:`link_cost`, :attr:`flow_node_cost`) and the dense flattened
-    cell ids (``class_cell``) are materialized lazily from the sparse
-    entries for the dense layout and the test surface; a sparse-layout
-    run never allocates them.  The ``*_class_positions`` arrays pre-split
-    the class axis by utility family so the batched evaluators touch only
-    the columns they understand.
+    on them.  The incidence is stored as parallel COO-style index arrays
+    in row-major order: ``(ln_link, ln_flow, ln_cost)`` holds one entry
+    per (bottleneck link, flow-on-it) pair — the paper's ``L`` restricted
+    to its nonzero pattern — and ``(fn_node, fn_flow, fn_cost)`` one entry
+    per (consumer node, flow-at-it) pair (``F``).  ``consumer_cost`` holds
+    ``G`` for each class at its hosting node and ``class_fn_index`` points
+    each class at its node/flow cell in the ``fn_*`` arrays (the class's
+    node is always on its flow's route, so the cell always exists) for
+    one-pass scatter-add of the population-dependent eq. 9 coefficients.
+    The ``*_class_positions`` arrays pre-split the class axis by utility
+    family so the batched evaluators touch only the columns they
+    understand.
     """
 
     problem: Problem
@@ -216,43 +179,12 @@ class CompiledProblem:
         """Stored (node, flow) incidence entries."""
         return int(self.fn_cost.size)
 
-    # -- lazily materialized dense views -----------------------------------
-
-    @cached_property
-    def link_cost(self) -> FloatArray:
-        """The dense ``L`` matrix (bottleneck links x flows), built on
-        first access from the sparse entries."""
-        dense = np.zeros((self.n_links, self.n_flows), dtype=np.float64)
-        dense[self.ln_link, self.ln_flow] = self.ln_cost
-        return dense
-
-    @cached_property
-    def flow_node_cost(self) -> FloatArray:
-        """The dense ``F`` matrix (consumer nodes x flows), built on first
-        access from the sparse entries."""
-        dense = np.zeros((self.n_nodes, self.n_flows), dtype=np.float64)
-        dense[self.fn_node, self.fn_flow] = self.fn_cost
-        return dense
-
-    @cached_property
-    def class_cell(self) -> IntArray:
-        """Flattened dense ``(node, flow)`` cell id per class (the dense
-        layout's scatter-add target)."""
-        return np.asarray(
-            self.class_node * self.n_flows + self.class_flow, dtype=np.int64
-        )
-
     def dense_materialized(self) -> bool:
-        """Whether any dense incidence matrix has been built.
-
-        The sparse-scale memory guard asserts this stays ``False`` across
-        a sparse-layout solve — peak compiled-array memory then provably
-        scales with the incidence nonzeros.
-        """
-        return "link_cost" in self.__dict__ or "flow_node_cost" in self.__dict__
+        """Always ``False``; kept for the repository benchmark's memory metric."""
+        return False
 
     def sparse_nbytes(self) -> int:
-        """Bytes held by the sparse incidence entries (both axes)."""
+        """Bytes held by the COO incidence entries (both axes)."""
         return int(
             self.ln_link.nbytes
             + self.ln_flow.nbytes
@@ -264,7 +196,8 @@ class CompiledProblem:
         )
 
     def dense_nbytes(self) -> int:
-        """Bytes the dense incidence matrices would occupy."""
+        """Bytes dense incidence matrices would occupy (the perf bench's
+        memory-ratio floor compares against it)."""
         return 8 * (self.n_links + self.n_nodes) * self.n_flows
 
     # -- dict <-> vector converters ---------------------------------------
@@ -307,51 +240,13 @@ class CompiledProblem:
     def populations_dict(self, populations: IntArray) -> dict[ClassId, int]:
         return {cid: int(populations[j]) for j, cid in enumerate(self.class_ids)}
 
-    # -- lowered accounting, dense layout ----------------------------------
-
-    def consumer_coefficients(self, populations: FloatArray) -> FloatArray:
-        """Per ``(node, flow)`` marginal footprint ``F + sum_j G_j n_j``.
-
-        The population-dependent part of the eq. 9 coefficient and of the
-        node usage (eq. 5), scatter-added over ``class_cell`` — allocates
-        the full dense node x flow grid per call (dense layout only).
-        """
-        cell = np.bincount(
-            self.class_cell,
-            weights=self.consumer_cost * populations,
-            minlength=self.n_nodes * self.n_flows,
-        ).reshape(self.n_nodes, self.n_flows)
-        return np.asarray(self.flow_node_cost + cell, dtype=np.float64)
-
-    def flow_prices(
-        self,
-        populations: FloatArray,
-        node_prices: FloatArray,
-        link_prices: FloatArray,
-    ) -> FloatArray:
-        """``PL_i + PB_i`` for every flow at once (eq. 8-9), dense layout."""
-        pl = link_prices @ self.link_cost
-        pb = node_prices @ self.consumer_coefficients(populations)
-        return np.asarray(pl + pb, dtype=np.float64)
-
-    def link_usages(self, rates: FloatArray) -> FloatArray:
-        """LHS of eq. 4 for every bottleneck link: ``L @ r``, dense layout."""
-        return np.asarray(self.link_cost @ rates, dtype=np.float64)
-
-    def node_usages(self, rates: FloatArray, populations: FloatArray) -> FloatArray:
-        """LHS of eq. 5 for every consumer node, dense layout."""
-        return np.asarray(
-            self.consumer_coefficients(populations) @ rates, dtype=np.float64
-        )
-
-    # -- lowered accounting, sparse layout ---------------------------------
+    # -- lowered accounting --------------------------------------------------
 
     def cell_coefficients(self, populations: FloatArray) -> FloatArray:
         """Eq. 9 coefficients ``F + sum_j G_j n_j`` per *stored* cell.
 
-        The sparse counterpart of :meth:`consumer_coefficients`: one entry
-        per ``fn_*`` incidence pair instead of the full node x flow grid.
-        Every class scatter-adds into its own cell via ``class_fn_index``.
+        One entry per ``fn_*`` incidence pair; every class scatter-adds
+        into its own cell via ``class_fn_index``.
         """
         return np.asarray(
             self.fn_cost
@@ -363,7 +258,7 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def flow_prices_sparse(
+    def flow_prices(
         self,
         populations: FloatArray,
         node_prices: FloatArray,
@@ -382,7 +277,7 @@ class CompiledProblem:
         )
         return np.asarray(pl + pb, dtype=np.float64)
 
-    def link_usages_sparse(self, rates: FloatArray) -> FloatArray:
+    def link_usages(self, rates: FloatArray) -> FloatArray:
         """LHS of eq. 4 for every bottleneck link via scatter-adds."""
         return np.asarray(
             np.bincount(
@@ -393,9 +288,7 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def node_usages_sparse(
-        self, rates: FloatArray, populations: FloatArray
-    ) -> FloatArray:
+    def node_usages(self, rates: FloatArray, populations: FloatArray) -> FloatArray:
         """LHS of eq. 5 for every consumer node via scatter-adds."""
         return np.asarray(
             np.bincount(
@@ -406,7 +299,7 @@ class CompiledProblem:
             dtype=np.float64,
         )
 
-    def node_flow_costs_sparse(self, rates: FloatArray) -> FloatArray:
+    def node_flow_costs(self, rates: FloatArray) -> FloatArray:
         """Per-node consumer-independent flow cost ``sum_i F_{b,i} r_i``."""
         return np.asarray(
             np.bincount(
@@ -416,8 +309,6 @@ class CompiledProblem:
             ),
             dtype=np.float64,
         )
-
-    # -- layout-independent accounting -------------------------------------
 
     def class_values(self, rates: FloatArray) -> FloatArray:
         """``U_j(r_{flowMap(j)})`` for every class (batched by family)."""
@@ -458,10 +349,9 @@ class CompiledProblem:
 def compile_problem(problem: Problem) -> CompiledProblem:
     """Lower ``problem`` into a :class:`CompiledProblem`.
 
-    Pure indexing and coefficient gathering — no optimizer state, and no
-    dense incidence allocation (memory here is ``O(nonzeros + classes)``;
-    the dense matrices build lazily only when asked for).  The result is
-    immutable and reusable across engines bound to the same problem.
+    Pure indexing and coefficient gathering — no optimizer state; memory
+    here is ``O(nonzeros + classes)``.  The result is immutable and
+    reusable across engines bound to the same problem.
     """
     flow_ids = tuple(sorted(problem.flows))
     node_ids = problem.consumer_nodes()
@@ -621,32 +511,15 @@ class VectorizedEngine(LRGPEngine):
     schedules; configs carrying a custom admission strategy or gamma
     subclass must use the reference engine (the constructor fails loudly
     rather than silently diverging from the configured behavior).
-
-    ``layout`` selects the lowered incidence representation: ``"dense"``
-    (matrix products), ``"sparse"`` (bincount scatter-adds over the COO
-    entries), or ``"auto"`` (sparse from :data:`SPARSE_MIN_FLOWS` flows,
-    the measured crossover).  Both layouts produce trajectories
-    bit-identical to each other and to the reference engine within the
-    pinned tolerance — the layout is a performance choice, never a
-    semantic one.
     """
 
     name = "vectorized"
 
-    def __init__(
-        self,
-        problem: Problem,
-        config: "LRGPConfig",
-        layout: str = "auto",
-    ) -> None:
+    def __init__(self, problem: Problem, config: "LRGPConfig") -> None:
         if config.admission is not allocate_consumers:
             raise ValueError(
                 "the vectorized engine implements the paper's greedy admission "
                 "only; use engine='reference' for custom admission strategies"
-            )
-        if layout not in LAYOUTS:
-            raise ValueError(
-                f"unknown layout {layout!r}; expected one of {', '.join(LAYOUTS)}"
             )
         proto = config.node_gamma
         if type(proto) is FixedGamma:
@@ -674,9 +547,6 @@ class VectorizedEngine(LRGPEngine):
         _validate_initial_price(config.initial_node_price, "initial node price")
         _validate_initial_price(config.initial_link_price, "initial link price")
         self._config = config
-        self._layout = layout
-        if layout != "auto":
-            self.name = f"vectorized-{layout}"
         self._compiled: CompiledProblem | None = None
         self._node_probes: list["PriceProbe | None"] = []
         self._link_probes: list["PriceProbe | None"] = []
@@ -694,11 +564,6 @@ class VectorizedEngine(LRGPEngine):
         if self._compiled is None:  # pragma: no cover - bind() runs in __init__
             raise RuntimeError("engine is not bound to a problem")
         return self._compiled
-
-    @property
-    def sparse(self) -> bool:
-        """Whether the current binding runs the sparse layout."""
-        return self._sparse
 
     def rates(self) -> dict[FlowId, float]:
         return self.compiled.rates_dict(self._rates)
@@ -751,9 +616,6 @@ class VectorizedEngine(LRGPEngine):
         with self._config.telemetry.profiler.phase("lower"):
             compiled = compile_problem(problem)
         self._compiled = compiled
-        self._sparse = self._layout == "sparse" or (
-            self._layout == "auto" and compiled.n_flows >= SPARSE_MIN_FLOWS
-        )
         self._rates = compiled.rates_vector(old_rates or None)
         self._populations: IntArray = compiled.populations_vector(
             old_populations or None
@@ -828,7 +690,6 @@ class VectorizedEngine(LRGPEngine):
         registry = telemetry.registry
         profiler = telemetry.profiler
         snapshots = self._config.record_snapshots
-        sparse = self._sparse
         slack: dict[str, float] = {}
 
         with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
@@ -836,10 +697,7 @@ class VectorizedEngine(LRGPEngine):
             #    populations, then the batched argmax of eq. 7.
             with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
                 populations = self._populations.astype(np.float64)
-                flow_prices = (
-                    compiled.flow_prices_sparse if sparse else compiled.flow_prices
-                )
-                prices = flow_prices(
+                prices = compiled.flow_prices(
                     populations,
                     np.array(self._node_price, dtype=np.float64),
                     self._link_price,
@@ -880,10 +738,7 @@ class VectorizedEngine(LRGPEngine):
             # 3. Link prices (eq. 13).
             with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
                 if compiled.n_links:
-                    link_usages = (
-                        compiled.link_usages_sparse if sparse else compiled.link_usages
-                    )
-                    usage = link_usages(self._rates)
+                    usage = compiled.link_usages(self._rates)
                     self._update_link_prices(usage)
                     if snapshots:
                         slack.update(
@@ -908,7 +763,7 @@ class VectorizedEngine(LRGPEngine):
         the closed forms per family clamped to the rate bounds — equivalent
         to the reference's explicit boundary-derivative checks because the
         objective's derivative is strictly decreasing.  Flows marked generic
-        go through the bisection fallback.
+        go through the fallback column.
         """
         compiled = self.compiled
         n_flows = len(compiled.flow_ids)
@@ -957,39 +812,22 @@ class VectorizedEngine(LRGPEngine):
     def _solve_generic(
         self, flow_pos: int, price: float, populations: FloatArray
     ) -> float:
-        """The fallback column: bracketed bisection on the eq. 7 derivative.
+        """The fallback column: the reference rate solver on one flow.
 
         Triggered for flows whose classes mix utility shapes (or use a shape
-        outside the log/power families).  Matches the reference solver's
-        bracketing semantics: boundary optima are resolved before bisecting.
+        outside the log/power families).
         """
         compiled = self.compiled
-        lo = float(compiled.rate_min[flow_pos])
-        hi = float(compiled.rate_max[flow_pos])
         terms = [
-            (float(populations[j]), compiled.utilities[int(j)])
-            for j in np.nonzero(compiled.class_flow == flow_pos)[0]
-            if populations[j] > 0.0
+            (float(populations[j]), compiled.utilities[j])
+            for j in np.nonzero(compiled.class_flow == flow_pos)[0].tolist()
         ]
-
-        def derivative(rate: float) -> float:
-            return sum(weight * utility.derivative(rate) for weight, utility in terms)
-
-        if derivative(hi) >= price:
-            return hi
-        if derivative(lo) <= price:
-            return lo
-        for _ in range(_BISECT_MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if derivative(mid) > price:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= _BISECT_XTOL + _BISECT_RTOL * abs(mid):
-                break
-        return 0.5 * (lo + hi)
+        return solve_rate(
+            terms,
+            price,
+            float(compiled.rate_min[flow_pos]),
+            float(compiled.rate_max[flow_pos]),
+        )
 
     # -- consumer allocation ---------------------------------------------------
 
@@ -1037,10 +875,7 @@ class VectorizedEngine(LRGPEngine):
             free = ~chargeable
             weights[free] = 0.0
 
-        if self._sparse:
-            flow_cost = compiled.node_flow_costs_sparse(self._rates)
-        else:
-            flow_cost = compiled.flow_node_cost @ self._rates
+        flow_cost = compiled.node_flow_costs(self._rates)
         budget = compiled.node_capacity - flow_cost
         need = np.bincount(class_node, weights=weights, minlength=n_nodes)
         saturated = (need <= budget)[class_node]

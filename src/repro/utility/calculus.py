@@ -16,8 +16,9 @@ is strictly decreasing and the maximizer is unique:
 * ``h'(r_max) >= 0``  ->  ``r_max``
 * otherwise the root of ``h'`` in ``(r_min, r_max)``.
 
-This module provides the generic bracketed root finder plus fast paths for
-single-term objectives with closed-form inverse derivatives (which cover the
+This module provides the generic bracketed root finder (a bisection on
+``h'``, the project's one root finder) plus fast paths for single-term
+objectives with closed-form inverse derivatives (which cover the
 paper's workloads: every class on a flow shares a shape, so the weighted sum
 collapses to one scaled utility).
 """
@@ -27,14 +28,15 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-from scipy.optimize import brentq
-
 from repro.utility.base import UtilityFunction
 from repro.utility.functions import LogUtility, PowerUtility
 
-#: Relative tolerance for the bracketed root search.
-_BRENTQ_XTOL = 1e-10
-_BRENTQ_RTOL = 1e-12
+#: Stopping rule of the bracketed bisection: the bracket is narrower than
+#: ``_BISECT_XTOL + _BISECT_RTOL * |midpoint|``, or ``_BISECT_MAX_ITER``
+#: halvings have run.
+_BISECT_XTOL = 1e-10
+_BISECT_RTOL = 1e-12
+_BISECT_MAX_ITER = 200
 
 
 def weighted_value(
@@ -134,12 +136,30 @@ def solve_rate(
     if closed is not None:
         return min(max(closed, rate_min), rate_max)
 
-    def slope(rate: float) -> float:
-        return weighted_derivative(active, rate) - price
+    return _bisect(active, price, rate_min, rate_max)
 
-    return float(
-        brentq(slope, rate_min, rate_max, xtol=_BRENTQ_XTOL, rtol=_BRENTQ_RTOL)
-    )
+
+def _bisect(
+    terms: Sequence[tuple[float, UtilityFunction]],
+    price: float,
+    lo: float,
+    hi: float,
+) -> float:
+    """Root of the strictly decreasing ``h'`` bracketed by ``[lo, hi]``.
+
+    The caller has resolved the boundary optima, so ``h'(lo) > 0 > h'(hi)``.
+    """
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if weighted_derivative(terms, mid) > price:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _BISECT_XTOL + _BISECT_RTOL * abs(mid):
+            break
+    return 0.5 * (lo + hi)
 
 
 def numeric_derivative(

@@ -11,7 +11,10 @@ flow cost is a reassociated sum).
 The edge cases of the fill get explicit coverage: ratio ties, zero-cost
 classes (free and useful, i.e. ``inf`` ratio, and free and useless), a
 node whose flow cost alone exceeds its capacity (negative budget), and
-nodes whose budget covers every class.
+nodes whose budget covers every class.  Each runs on a *dense* problem,
+where every flow reaches every consumer node, and on a *sparse* one,
+where flows reach a subset, so the node/flow incidence triples the
+budgets are scattered from have both a full and a partly empty pattern.
 """
 
 import math
@@ -33,17 +36,17 @@ from repro.workloads.datacenter import leaf_spine_workload
 from repro.workloads.generator import GeneratorConfig, generate_workload
 
 SHAPES = ("log", "pow25", "pow50", "pow75")
-LAYOUTS = ("dense", "sparse")
+INCIDENCES = ("dense", "sparse")
 
 
 def assert_admission_matches(
-    problem: Problem, rates: dict[str, float], layout: str
+    problem: Problem, rates: dict[str, float]
 ) -> tuple[dict[str, int], list[float]]:
     """Run both admissions at ``rates`` and compare node by node.
 
     Returns the vectorized populations by class id and BC(b,t) by node.
     """
-    engine = VectorizedEngine(problem, LRGPConfig(), layout=layout)
+    engine = VectorizedEngine(problem, LRGPConfig())
     compiled = engine.compiled
     engine._rates = compiled.rates_vector(rates)
     populations, used, best = engine._admit(compiled.class_values(engine._rates))
@@ -133,11 +136,10 @@ def draw_rates(data, problem: Problem, equal: bool) -> dict[str, float]:
 @given(
     problem=generated_problems(),
     equal=st.booleans(),
-    layout=st.sampled_from(LAYOUTS),
     data=st.data(),
 )
-def test_generated_problems_match_reference(problem, equal, layout, data):
-    assert_admission_matches(problem, draw_rates(data, problem, equal), layout)
+def test_generated_problems_match_reference(problem, equal, data):
+    assert_admission_matches(problem, draw_rates(data, problem, equal))
 
 
 @settings(max_examples=40, deadline=None)
@@ -149,12 +151,11 @@ def test_generated_problems_match_reference(problem, equal, layout, data):
     classes_per_leaf=st.integers(min_value=1, max_value=3),
     max_consumers=st.integers(min_value=1, max_value=800),
     leaf_capacity=st.sampled_from([2.0e4, 2.0e5, 9.0e5]),
-    layout=st.sampled_from(LAYOUTS),
     data=st.data(),
 )
 def test_leaf_spine_fabrics_match_reference(
     spines, leaves, flows, leaves_per_flow, classes_per_leaf, max_consumers,
-    leaf_capacity, layout, data,
+    leaf_capacity, data,
 ):
     problem = leaf_spine_workload(
         spines=spines,
@@ -166,18 +167,22 @@ def test_leaf_spine_fabrics_match_reference(
         leaf_capacity=leaf_capacity,
     )
     equal = data.draw(st.booleans(), label="equal")
-    assert_admission_matches(problem, draw_rates(data, problem, equal), layout)
+    assert_admission_matches(problem, draw_rates(data, problem, equal))
 
 
 # -- explicit edge cases -------------------------------------------------------
 
 
-def tight_problem(**overrides) -> Problem:
-    """Four flows over two nodes, sized so both nodes are contended."""
+def tight_problem(incidence: str, **overrides) -> Problem:
+    """Four flows over two nodes, sized so both nodes are contended.
+
+    A ``"dense"`` problem routes every flow through both nodes; a
+    ``"sparse"`` one routes each flow through one of them.
+    """
     config = dict(
         flows=4,
         consumer_nodes=2,
-        nodes_per_flow=2,
+        nodes_per_flow=2 if incidence == "dense" else 1,
         classes_per_flow_node=3,
         rank_low=10.0,
         rank_high=90.0,
@@ -189,16 +194,17 @@ def tight_problem(**overrides) -> Problem:
     return generate_workload(GeneratorConfig(**config), seed=7)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("incidence", INCIDENCES)
 class TestEdgeCases:
-    def test_ratio_ties_break_by_class_id(self, layout):
+    def test_ratio_ties_break_by_class_id(self, incidence):
         # One rank, one consumer cost and one shared rate: every class at
         # a node has the same ratio, so the fill order is the class order.
         problem = tight_problem(
+            incidence,
             rank_low=50.0, rank_high=50.0, max_consumers_low=10, max_consumers_high=30
         )
         rates = dict.fromkeys(problem.flows, 100.0)
-        populations, _ = assert_admission_matches(problem, rates, layout)
+        populations, _ = assert_admission_matches(problem, rates)
         for node_id in problem.consumer_nodes():
             members = sorted(problem.classes_at_node(node_id))
             unsatisfied = [
@@ -208,39 +214,41 @@ class TestEdgeCases:
             assert unsatisfied == sorted(unsatisfied)
             assert any(unsatisfied) and not all(unsatisfied)
 
-    def test_zero_cost_classes_admit_everyone(self, layout):
-        problem = tight_problem()
+    def test_zero_cost_classes_admit_everyone(self, incidence):
+        problem = tight_problem(incidence)
         free = set(sorted(problem.classes)[::3])
         problem = with_free_classes(problem, free)
         rates = {fid: 250.0 for fid in problem.flows}
-        populations, _ = assert_admission_matches(problem, rates, layout)
+        populations, _ = assert_admission_matches(problem, rates)
         for class_id in free:
             assert populations[class_id] == problem.classes[class_id].max_consumers
 
-    def test_free_and_useful_classes_stay_out_of_best_ratio(self, layout):
+    def test_free_and_useful_classes_stay_out_of_best_ratio(self, incidence):
         # G = 0 with positive utility is an inf ratio in the reference; it
         # saturates and never counts toward BC(b,t), which stays finite.
-        problem = with_free_classes(tight_problem(), set(tight_problem().classes))
+        problem = with_free_classes(
+            tight_problem(incidence), set(tight_problem(incidence).classes)
+        )
         rates = {fid: 100.0 for fid in problem.flows}
-        _, best = assert_admission_matches(problem, rates, layout)
+        _, best = assert_admission_matches(problem, rates)
         assert all(math.isfinite(ratio) for ratio in best)
 
-    def test_zero_rate_makes_classes_free_and_useless(self, layout):
-        problem = tight_problem(rate_min=0.0)
+    def test_zero_rate_makes_classes_free_and_useless(self, incidence):
+        problem = tight_problem(incidence, rate_min=0.0)
         rates = {fid: 0.0 if i % 2 else 300.0 for i, fid in enumerate(problem.flows)}
-        assert_admission_matches(problem, rates, layout)
+        assert_admission_matches(problem, rates)
 
-    def test_negative_budget_admits_no_chargeable_class(self, layout):
+    def test_negative_budget_admits_no_chargeable_class(self, incidence):
         # The flow cost alone exceeds capacity: the budget starts negative.
-        problem = tight_problem(node_capacity=1.0e3, flow_node_cost=50.0)
+        problem = tight_problem(incidence, node_capacity=1.0e3, flow_node_cost=50.0)
         rates = {fid: 900.0 for fid in problem.flows}
-        populations, _ = assert_admission_matches(problem, rates, layout)
+        populations, _ = assert_admission_matches(problem, rates)
         assert sum(populations.values()) == 0
 
-    def test_covered_nodes_saturate_every_class(self, layout):
-        problem = tight_problem(node_capacity=1.0e12)
+    def test_covered_nodes_saturate_every_class(self, incidence):
+        problem = tight_problem(incidence, node_capacity=1.0e12)
         rates = {fid: 1000.0 for fid in problem.flows}
-        populations, best = assert_admission_matches(problem, rates, layout)
+        populations, best = assert_admission_matches(problem, rates)
         assert all(
             populations[cid] == cls.max_consumers
             for cid, cls in problem.classes.items()
@@ -259,33 +267,47 @@ class InfiniteValue(UtilityFunction):
 
 
 def one_node_problem(
-    capacity: float, classes: list[tuple[str, UtilityFunction, float, int]]
+    capacity: float,
+    classes: list[tuple[str, UtilityFunction, float, int]],
+    incidence: str = "dense",
 ) -> Problem:
     """One flow at a fixed rate of 1 into one node with flow cost 1.
 
     ``classes`` holds ``(class id, utility, consumer cost, n^max)``, so a
     class's unit cost is its consumer cost and the budget is
-    ``capacity - 1``.
+    ``capacity - 1``.  A ``"sparse"`` problem adds a second flow ``g``
+    that bypasses the node (to a node hosting no class), so the node's
+    incidence row holds one of two flows and its budget is unchanged.
     """
     costs = CostModelBuilder().set_flow_node("S", "f", 1.0).set_link("P->S", "f", 1.0)
     for class_id, _, consumer_cost, _ in classes:
         costs.set_consumer("S", class_id, consumer_cost)
+    nodes = [Node("P", capacity=math.inf), Node("S", capacity=capacity)]
+    links = [Link("P->S", tail="P", head="S")]
+    flows = [Flow("f", source="P", rate_min=1.0, rate_max=1.0)]
+    routes = {"f": Route(nodes=("P", "S"), links=("P->S",))}
+    if incidence == "sparse":
+        nodes.append(Node("T", capacity=capacity))
+        links.append(Link("P->T", tail="P", head="T"))
+        flows.append(Flow("g", source="P", rate_min=1.0, rate_max=1.0))
+        routes["g"] = Route(nodes=("P", "T"), links=("P->T",))
+        costs.set_flow_node("T", "g", 1.0).set_link("P->T", "g", 1.0)
     return build_problem(
-        nodes=[Node("P", capacity=math.inf), Node("S", capacity=capacity)],
-        links=[Link("P->S", tail="P", head="S")],
-        flows=[Flow("f", source="P", rate_min=1.0, rate_max=1.0)],
+        nodes=nodes,
+        links=links,
+        flows=flows,
         classes=[
             ConsumerClass(class_id, "f", "S", max_consumers=n_max, utility=utility)
             for class_id, utility, _, n_max in classes
         ],
-        routes={"f": Route(nodes=("P", "S"), links=("P->S",))},
+        routes=routes,
         costs=costs.build(),
     )
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("incidence", INCIDENCES)
 @pytest.mark.parametrize("leftover", [1.0 - 5e-10, 1.0, 1.0005])
-def test_budget_at_the_cheapest_cost_still_admits(layout, leftover):
+def test_budget_at_the_cheapest_cost_still_admits(incidence, leftover):
     # "a" saturates (5 x 10) and leaves ``leftover`` for the cheap "b"
     # (unit cost 1): the flooring slack admits one more consumer even a
     # hair below the cost, so the early exit must not fire there.
@@ -295,15 +317,16 @@ def test_budget_at_the_cheapest_cost_still_admits(layout, leftover):
             ("a", LogUtility(scale=1000.0), 10.0, 5),
             ("b", LogUtility(scale=1.0), 1.0, 100),
         ],
+        incidence=incidence,
     )
-    populations, _ = assert_admission_matches(problem, {"f": 1.0}, layout)
+    populations, _ = assert_admission_matches(problem, {"f": 1.0, "g": 1.0})
     assert populations == {"a": 5, "b": 1}
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("incidence", INCIDENCES)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("capacity", [0.5, 30.0])
-def test_non_finite_ratios_never_set_best_ratio(layout, capacity):
+def test_non_finite_ratios_never_set_best_ratio(incidence, capacity):
     # "inf" sorts first and stays unsatisfied; BC(b,t) must skip it both
     # when the fill visits it (positive budget) and when the budget is
     # negative from the start.  "tiny" overflows its ratio the same way.
@@ -314,6 +337,6 @@ def test_non_finite_ratios_never_set_best_ratio(layout, capacity):
     ]
     if capacity < 1.0:
         classes.append(("tiny", LogUtility(scale=1.0), 1e-320, 3))
-    problem = one_node_problem(capacity=capacity, classes=classes)
-    _, best = assert_admission_matches(problem, {"f": 1.0}, layout)
+    problem = one_node_problem(capacity=capacity, classes=classes, incidence=incidence)
+    _, best = assert_admission_matches(problem, {"f": 1.0, "g": 1.0})
     assert best == [pytest.approx(5.0 * math.log(2.0))]

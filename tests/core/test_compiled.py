@@ -56,15 +56,17 @@ class TestVocabularies:
 
     def test_array_shapes(self, compiled_base):
         c = compiled_base
-        assert c.link_cost.shape == (c.n_links, c.n_flows)
-        assert c.flow_node_cost.shape == (c.n_nodes, c.n_flows)
+        for array in (c.ln_link, c.ln_flow, c.ln_cost):
+            assert array.shape == (c.nnz_link,)
+        for array in (c.fn_node, c.fn_flow, c.fn_cost):
+            assert array.shape == (c.nnz_node,)
         for array in (c.rate_min, c.rate_max, c.flow_family):
             assert array.shape == (c.n_flows,)
         for array in (
             c.consumer_cost,
             c.class_flow,
             c.class_node,
-            c.class_cell,
+            c.class_fn_index,
             c.max_consumers,
             c.class_family,
         ):
@@ -84,28 +86,32 @@ class TestVocabularies:
     def test_incidence_matches_cost_model(self, compiled_base):
         c = compiled_base
         problem = c.problem
-        for l, lid in enumerate(c.link_ids):
-            for i, fid in enumerate(c.flow_ids):
-                expected = (
-                    problem.costs.link(lid, fid)
-                    if fid in problem.flows_on_link(lid)
-                    else 0.0
-                )
-                assert c.link_cost[l, i] == expected
-        for b, nid in enumerate(c.node_ids):
-            for i, fid in enumerate(c.flow_ids):
-                expected = (
-                    problem.costs.flow_node(nid, fid)
-                    if fid in problem.flows_at_node(nid)
-                    else 0.0
-                )
-                assert c.flow_node_cost[b, i] == expected
+        # Every incidence pair stored exactly once, in row-major order,
+        # with the cost model's cost.
+        expected_links = [
+            (l, i, problem.costs.link(lid, c.flow_ids[i]))
+            for l, lid in enumerate(c.link_ids)
+            for i in sorted(c.flow_ids.index(fid) for fid in problem.flows_on_link(lid))
+        ]
+        assert list(zip(c.ln_link.tolist(), c.ln_flow.tolist(), c.ln_cost.tolist())) == (
+            expected_links
+        )
+        expected_nodes = [
+            (b, i, problem.costs.flow_node(nid, c.flow_ids[i]))
+            for b, nid in enumerate(c.node_ids)
+            for i in sorted(c.flow_ids.index(fid) for fid in problem.flows_at_node(nid))
+        ]
+        assert list(zip(c.fn_node.tolist(), c.fn_flow.tolist(), c.fn_cost.tolist())) == (
+            expected_nodes
+        )
         for j, cid in enumerate(c.class_ids):
             cls = problem.classes[cid]
             assert c.consumer_cost[j] == problem.costs.consumer(cls.node, cid)
             assert c.flow_ids[c.class_flow[j]] == cls.flow_id
             assert c.node_ids[c.class_node[j]] == cls.node
             assert c.max_consumers[j] == cls.max_consumers
+            cell = c.class_fn_index[j]
+            assert (c.fn_node[cell], c.fn_flow[cell]) == (c.class_node[j], c.class_flow[j])
 
 
 class TestConverters:

@@ -1,10 +1,11 @@
 """Property tests: lowered accounting round-trips the dict-based model.
 
 For random generated workloads and random interior states, every
-quantity the :class:`~repro.core.compiled.CompiledProblem` computes on
-dense arrays must equal the dict-based accounting in
-:mod:`repro.model.allocation` / :mod:`repro.core.rate_allocation` — the
-single sources of truth for the paper's equations.
+quantity the :class:`~repro.core.compiled.CompiledProblem` computes by
+scatter-adds over its COO incidence arrays must equal the dict-based
+accounting in :mod:`repro.model.allocation` /
+:mod:`repro.core.rate_allocation` — the single sources of truth for the
+paper's equations.
 """
 
 import numpy as np
@@ -96,9 +97,15 @@ def test_lowered_accounting_round_trips(seed, shape, data):
             links[l], link_usage(problem, allocation, lid), rtol=1e-9, atol=1e-9
         )
     nodes = compiled.node_usages(r, nf)
+    # The consumer-independent part of eq. 5: node usage with no consumers.
+    flow_costs = compiled.node_flow_costs(r)
+    no_consumers = Allocation(rates=dict(rates), populations={})
     for b, nid in enumerate(compiled.node_ids):
         assert np.isclose(
             nodes[b], node_usage(problem, allocation, nid), rtol=1e-9, atol=1e-9
+        )
+        assert np.isclose(
+            flow_costs[b], node_usage(problem, no_consumers, nid), rtol=1e-9, atol=1e-9
         )
 
     # eq. 6: the objective.

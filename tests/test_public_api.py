@@ -157,3 +157,25 @@ class TestSubpackageImports:
             assert module.__doc__
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+class TestImportFootprint:
+    def test_import_repro_does_not_load_scipy(self):
+        # A fresh interpreter: this test process may already hold scipy.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, repro; assert 'scipy' not in sys.modules, "
+                "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]",
+            ],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
