@@ -4,9 +4,10 @@ The observability layer promises that leaving ``LRGPConfig.telemetry`` at
 its default (:data:`~repro.obs.NULL_TELEMETRY`) is effectively free.  The
 uninstrumented seed code no longer exists to A/B against, so the guard
 measures the proxy directly: one iteration's worth of null-telemetry
-operations (the exact timers, guards, counter and gauge touches
-``LRGP.step`` executes when telemetry is off) timed in isolation, divided
-by the median measured iteration time.  That ratio must stay under 5%.
+operations (the exact null-profiler spans, guards, counter and gauge
+touches ``LRGP.step`` executes when telemetry is off) timed in isolation,
+divided by the median measured iteration time.  That ratio must stay
+under 5%.
 
 The run also archives ``results/BENCH_observability.json`` with the raw
 numbers, including the cost of *enabled* telemetry (MemorySink) for
@@ -53,14 +54,13 @@ def noop_bundle_ns() -> float:
     """Time one iteration's worth of null-telemetry operations.
 
     Mirrors exactly what ``LRGP.step`` adds per iteration when telemetry
-    is disabled on the base workload: four null timers, one counter
-    increment, one gauge set, the per-node ``telemetry.enabled`` guards
-    (3 consumer nodes) and the per-controller/per-schedule
-    ``probe is not None`` guards (3 node controllers + 3 gamma schedules),
-    plus (since PR 7) the null-profiler spans — ``iteration``, ``argmax``,
-    one ``admission`` and one ``price_update`` per consumer node, one
-    link-price ``price_update``, and the per-run ``solve`` span amortized
-    over the iterations.
+    is disabled on the base workload: one counter increment, one gauge
+    set, the per-node ``telemetry.enabled`` guards (3 consumer nodes) and
+    the per-controller/per-schedule ``probe is not None`` guards (3 node
+    controllers + 3 gamma schedules), plus the null-profiler spans —
+    ``iteration``, ``argmax``, one ``admission`` and one ``price_update``
+    per consumer node, one link-price ``price_update``, and the per-run
+    ``solve`` span amortized over the iterations.
     """
     telemetry = NULL_TELEMETRY
     registry = telemetry.registry
@@ -69,24 +69,19 @@ def noop_bundle_ns() -> float:
     start = time.perf_counter_ns()
     for _ in range(BUNDLE_REPEATS):
         touched = 0
-        with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
-            with registry.timer("lrgp.rate_allocation"), profiler.phase(
-                "argmax"
-            ):
+        with profiler.phase("iteration"):
+            with profiler.phase("argmax"):
                 pass
-            with registry.timer("lrgp.consumer_allocation"):
-                for _node in range(3):
-                    with profiler.phase("admission"):
-                        if telemetry.enabled:  # pragma: no cover - never taken
-                            touched += 1
-                    with profiler.phase("price_update"):
-                        if probe is not None:  # controller guard
-                            touched += 1
-                    if probe is not None:  # gamma-schedule guard
+            for _node in range(3):
+                with profiler.phase("admission"):
+                    if telemetry.enabled:  # pragma: no cover - never taken
                         touched += 1
-            with registry.timer("lrgp.link_prices"), profiler.phase(
-                "price_update"
-            ):
+                with profiler.phase("price_update"):
+                    if probe is not None:  # controller guard
+                        touched += 1
+                if probe is not None:  # gamma-schedule guard
+                    touched += 1
+            with profiler.phase("price_update"):
                 pass
         registry.counter("lrgp.iterations").inc()
         registry.gauge("lrgp.utility").set(float(touched))

@@ -13,14 +13,15 @@ Commands:
 * ``table``     — regenerate one of the paper's tables (1-3).
 * ``extension`` — run one of the extension experiments (E1-E3).
 * ``stats``     — run a workload with full telemetry and print the metrics
-  snapshot (human/Prometheus/JSON) plus convergence diagnostics.
+  snapshot (human/Prometheus/JSON, phase timings as ``profile.phase.*``)
+  plus convergence diagnostics.
 * ``profile``   — run a workload under the hierarchical phase profiler
-  and print the phase tree (wall/CPU/self time per phase), with
-  flamegraph collapsed-stack, speedscope-JSON and report-JSON export.
+  (spans only: no probes, events or metrics) and print the phase tree
+  (wall/CPU/self time per phase), with flamegraph collapsed-stack,
+  speedscope-JSON and report-JSON export.
 * ``trace run`` — capture the structured event stream of a run as JSONL
   (lossless, ``event_from_dict`` round-trips it; ``--gzip`` compresses)
-  or flat CSV.  Bare ``repro trace <workload>`` still works (implied
-  ``run``).
+  or flat CSV.
 * ``trace show``   — pretty-print a capture with ``--type``/``--since``
   filters, ``--follow`` tailing and a ``--dashboard`` live summary.
 * ``trace causal`` — reconstruct the causal graph of a capture: critical
@@ -65,7 +66,7 @@ Examples::
     python -m repro stats --from-json archived_metrics.json
     python -m repro profile flows-x4 --engine vectorized --flame flame.txt
     python -m repro profile base --speedscope profile.speedscope.json
-    python -m repro trace micro --format jsonl -o trace.jsonl
+    python -m repro trace run micro --format jsonl -o trace.jsonl
     python -m repro trace run base --engine async --gzip -o run.jsonl.gz
     python -m repro trace show run.jsonl.gz --type message --since 50
     python -m repro trace causal run.jsonl.gz
@@ -145,31 +146,6 @@ from repro.workloads.registry import (
     list_workloads,
     workload_from_spec,
 )
-
-#: The historical CLI workload table, kept as a compatibility view onto
-#: the registry (every name here is a registered workload or alias; the
-#: pre-registry spellings warn on use).  New code should call
-#: :func:`repro.workloads.get_workload` / pass registry specs instead.
-BUILTIN_WORKLOADS = {
-    name: (lambda name=name: workload_from_spec(name))
-    for name in (
-        "base",
-        "base-pow25",
-        "base-pow50",
-        "base-pow75",
-        "flows-x2",
-        "flows-x4",
-        "cnodes-x2",
-        "cnodes-x4",
-        "cnodes-x8",
-        "trade-data",
-        "latest-price",
-        "link-bottleneck",
-        "tree",
-        "micro",
-    )
-}
-
 
 def load_problem(spec: str) -> Problem:
     """Resolve a workload spec: ``NAME[:k=v,...]`` (registry name or
@@ -460,7 +436,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import (
         ConvergenceDiagnostics,
         MemorySink,
+        PhaseProfiler,
+        Telemetry,
         diagnostics_to_dict,
+        register_phase_metrics,
         render_diagnostics,
         render_metrics,
         snapshot_to_dict,
@@ -470,7 +449,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     problem = load_problem(args.workload)
     args.snapshots = False  # stats never needs per-iteration state
-    telemetry = _telemetry_run(args, problem)
+    profiler = PhaseProfiler()
+    telemetry = _telemetry_run(
+        args, problem, telemetry=Telemetry(profiler=profiler)
+    )
+    # Timings come from the phase profiler, as profile.phase.* metrics.
+    register_phase_metrics(profiler.report(), telemetry.registry)
     snapshot = telemetry.registry.snapshot()
     sink = telemetry.sink
     assert isinstance(sink, MemorySink)
@@ -517,9 +501,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs import (
+        NULL_REGISTRY,
+        NULL_SINK,
         PhaseProfiler,
         Telemetry,
-        register_phase_metrics,
         render_report,
         to_collapsed,
         to_speedscope,
@@ -528,12 +513,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     problem = load_problem(args.workload)
     profiler = PhaseProfiler(track_allocations=args.allocations)
     args.snapshots = False  # profiling never needs per-iteration state
-    telemetry = Telemetry(profiler=profiler)
+    # Spans only: price probes and trace events would be timed inside the
+    # phases they instrument and skew the very split being measured.
+    telemetry = Telemetry(
+        registry=NULL_REGISTRY, sink=NULL_SINK, enabled=False, profiler=profiler
+    )
     _telemetry_run(args, problem, telemetry=telemetry)
     report = profiler.report()
-    # Phase gauges/counters join the run's registry so any exporter
-    # (Prometheus text, JSON snapshot) sees them alongside the timers.
-    register_phase_metrics(report, telemetry.registry)
 
     print(f"workload:   {problem.describe()}")
     print(f"engine:     {args.engine}")
@@ -1965,27 +1951,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``trace`` grew subcommands in PR 5; the bare historical form
-#: ``repro trace <workload> ...`` still works via this shim.
-_TRACE_SUBCOMMANDS = frozenset({"run", "show", "causal"})
-
-
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Insert the implied ``run`` into pre-PR-5 ``trace`` invocations."""
-    if (
-        len(argv) >= 2
-        and argv[0] == "trace"
-        and argv[1] not in _TRACE_SUBCOMMANDS
-        and not argv[1].startswith("-")
-    ):
-        return [argv[0], "run", *argv[1:]]
-    return argv
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize_argv(list(argv)))
+    args = build_parser().parse_args(argv)
     if hasattr(args, "workload_opt"):
         _resolve_workload(args)
     try:

@@ -687,15 +687,14 @@ class VectorizedEngine(LRGPEngine):
     def step(self) -> StepOutcome:
         compiled = self.compiled
         telemetry = self._config.telemetry
-        registry = telemetry.registry
         profiler = telemetry.profiler
         snapshots = self._config.record_snapshots
         slack: dict[str, float] = {}
 
-        with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
+        with profiler.phase("iteration"):
             # 1. Rate allocation (Algorithm 1): prices from last iteration's
             #    populations, then the batched argmax of eq. 7.
-            with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
+            with profiler.phase("argmax"):
                 populations = self._populations.astype(np.float64)
                 prices = compiled.flow_prices(
                     populations,
@@ -708,35 +707,34 @@ class VectorizedEngine(LRGPEngine):
             #    Same phase names as the reference engine, so profiles of
             #    the two engines diff phase-for-phase; γ observation runs
             #    inline in _update_node_prices and folds into price_update.
-            with registry.timer("lrgp.consumer_allocation"):
-                with profiler.phase("admission"):
-                    values = compiled.class_values(self._rates)
-                    new_populations, used, best = self._admit(values)
-                    self._populations = new_populations
-                with profiler.phase("price_update"):
-                    self._update_node_prices(best, used)
-                if snapshots:
-                    for b, nid in enumerate(compiled.node_ids):
-                        slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
-                if telemetry.enabled:
-                    admitted = new_populations.tolist()
-                    for b, nid in enumerate(compiled.node_ids):
-                        telemetry.emit(
-                            AdmissionEvent(
-                                node=nid,
-                                admitted={
-                                    compiled.class_ids[j]: admitted[j]
-                                    for j in compiled.node_class_positions[b].tolist()
-                                },
-                                used=used[b],
-                                capacity=self._node_capacity_list[b],
-                                best_ratio=best[b],
-                                t_ns=now_ns(),
-                            )
+            with profiler.phase("admission"):
+                values = compiled.class_values(self._rates)
+                new_populations, used, best = self._admit(values)
+                self._populations = new_populations
+            with profiler.phase("price_update"):
+                self._update_node_prices(best, used)
+            if snapshots:
+                for b, nid in enumerate(compiled.node_ids):
+                    slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
+            if telemetry.enabled:
+                admitted = new_populations.tolist()
+                for b, nid in enumerate(compiled.node_ids):
+                    telemetry.emit(
+                        AdmissionEvent(
+                            node=nid,
+                            admitted={
+                                compiled.class_ids[j]: admitted[j]
+                                for j in compiled.node_class_positions[b].tolist()
+                            },
+                            used=used[b],
+                            capacity=self._node_capacity_list[b],
+                            best_ratio=best[b],
+                            t_ns=now_ns(),
                         )
+                    )
 
             # 3. Link prices (eq. 13).
-            with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
+            with profiler.phase("price_update"):
                 if compiled.n_links:
                     usage = compiled.link_usages(self._rates)
                     self._update_link_prices(usage)

@@ -20,13 +20,9 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.model.entities import ClassId, FlowId, NodeId
 from repro.model.problem import Problem
-
-if TYPE_CHECKING:  # optional telemetry; obs never imports core
-    from repro.obs.registry import MetricsRegistry
 
 #: Slack added before flooring a fractional admission count, to avoid
 #: dropping a consumer to floating-point noise.
@@ -135,32 +131,15 @@ def allocate_consumers(
 
 
 def allocate_all_consumers(
-    problem: Problem,
-    rates: Mapping[FlowId, float],
-    registry: "MetricsRegistry | None" = None,
+    problem: Problem, rates: Mapping[FlowId, float]
 ) -> dict[NodeId, NodeAllocation]:
     """Run the greedy allocation at every consumer-hosting node.
 
     Each node's decision is purely local (this is the point of the
     greedy-populations half of LRGP); this helper is the synchronous
-    composition used by the reference driver.  Pass a
-    :class:`~repro.obs.MetricsRegistry` to time the batch
-    (``admission.allocate_all``) and count admitted consumers
-    (``admission.admitted``).
+    composition used by the reference driver.
     """
-
-    def admit_all() -> dict[NodeId, NodeAllocation]:
-        return {
-            node_id: allocate_consumers(problem, node_id, rates)
-            for node_id in problem.consumer_nodes()
-        }
-
-    if registry is None:
-        return admit_all()
-    with registry.timer("admission.allocate_all"):
-        allocations = admit_all()
-    admitted = sum(
-        sum(result.populations.values()) for result in allocations.values()
-    )
-    registry.counter("admission.admitted").inc(admitted)
-    return allocations
+    return {
+        node_id: allocate_consumers(problem, node_id, rates)
+        for node_id in problem.consumer_nodes()
+    }

@@ -204,17 +204,16 @@ class ReferenceEngine(LRGPEngine):
     def step(self) -> StepOutcome:
         problem = self._problem
         telemetry = self._config.telemetry
-        registry = telemetry.registry
         profiler = telemetry.profiler
         snapshots = self._config.record_snapshots
         node_prices = self.node_prices()
         link_prices = self.link_prices()
         slack: dict[str, float] = {}
 
-        with registry.timer("lrgp.iteration"), profiler.phase("iteration"):
+        with profiler.phase("iteration"):
             # 1. Rate allocation at each source (Algorithm 1), using last
             #    iteration's populations and prices.
-            with registry.timer("lrgp.rate_allocation"), profiler.phase("argmax"):
+            with profiler.phase("argmax"):
                 for flow_id in problem.flows:
                     price = aggregate_flow_price(
                         problem, flow_id, self._populations, node_prices, link_prices
@@ -228,35 +227,34 @@ class ReferenceEngine(LRGPEngine):
             #    Profiler phases sit *inside* the per-node loop so the
             #    admission/price-update event interleaving (one pair per
             #    node) is untouched — replay depends on capture order.
-            with registry.timer("lrgp.consumer_allocation"):
-                for node_id in problem.consumer_nodes():
-                    with profiler.phase("admission"):
-                        result = self._config.admission(problem, node_id, self._rates)
-                        self._populations.update(result.populations)
-                    controller = self._node_controllers[node_id]
-                    # The adaptive γ observation runs inside update(), so
-                    # gamma_step cost folds into this phase.
-                    with profiler.phase("price_update"):
-                        controller.update(
-                            benefit_cost=result.best_unsatisfied_ratio,
+            for node_id in problem.consumer_nodes():
+                with profiler.phase("admission"):
+                    result = self._config.admission(problem, node_id, self._rates)
+                    self._populations.update(result.populations)
+                controller = self._node_controllers[node_id]
+                # The adaptive γ observation runs inside update(), so
+                # gamma_step cost folds into this phase.
+                with profiler.phase("price_update"):
+                    controller.update(
+                        benefit_cost=result.best_unsatisfied_ratio,
+                        used=result.used,
+                    )
+                if snapshots:
+                    slack[f"node:{node_id}"] = controller.capacity - result.used
+                if telemetry.enabled:
+                    telemetry.emit(
+                        AdmissionEvent(
+                            node=node_id,
+                            admitted=dict(result.populations),
                             used=result.used,
+                            capacity=controller.capacity,
+                            best_ratio=result.best_unsatisfied_ratio,
+                            t_ns=now_ns(),
                         )
-                    if snapshots:
-                        slack[f"node:{node_id}"] = controller.capacity - result.used
-                    if telemetry.enabled:
-                        telemetry.emit(
-                            AdmissionEvent(
-                                node=node_id,
-                                admitted=dict(result.populations),
-                                used=result.used,
-                                capacity=controller.capacity,
-                                best_ratio=result.best_unsatisfied_ratio,
-                                t_ns=now_ns(),
-                            )
-                        )
+                    )
 
             # 3b. Link price update (Algorithm 3 / eq. 13).
-            with registry.timer("lrgp.link_prices"), profiler.phase("price_update"):
+            with profiler.phase("price_update"):
                 if self._link_controllers:
                     allocation = self.allocation()
                     for link_id, link_controller in self._link_controllers.items():

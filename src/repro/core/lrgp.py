@@ -71,10 +71,10 @@ class LRGPConfig:
     truth, ``"vectorized"`` for the numpy-compiled fast path.
 
     ``telemetry`` wires the driver into the observability layer
-    (:mod:`repro.obs`): phase timers and counters go to its registry,
-    ``iteration`` / ``admission`` / ``price_update`` / ``gamma_step``
-    events to its sink.  The default :data:`~repro.obs.NULL_TELEMETRY`
-    keeps the hot path allocation-free.
+    (:mod:`repro.obs`): phase spans go to its profiler, counters and
+    gauges to its registry, ``iteration`` / ``admission`` /
+    ``price_update`` / ``gamma_step`` events to its sink.  The default
+    :data:`~repro.obs.NULL_TELEMETRY` keeps the hot path allocation-free.
     """
 
     node_gamma: GammaSchedule = field(default_factory=AdaptiveGamma)

@@ -18,15 +18,11 @@ computed in closed form where available, otherwise by bracketed root finding
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import TYPE_CHECKING
 
 from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
 from repro.utility.calculus import solve_rate
 from repro.utility.tolerance import is_zero
-
-if TYPE_CHECKING:  # optional telemetry; obs never imports core
-    from repro.obs.registry import MetricsRegistry
 
 
 def link_path_price(
@@ -109,33 +105,21 @@ def allocate_all_rates(
     populations: Mapping[ClassId, int],
     node_prices: Mapping[NodeId, float],
     link_prices: Mapping[LinkId, float],
-    registry: "MetricsRegistry | None" = None,
 ) -> dict[FlowId, float]:
     """Run Algorithm 1 for every flow source.
 
     In the distributed system each source computes only its own rate; this
     helper is the synchronous composition used by the reference driver and
-    by tests.  Pass a :class:`~repro.obs.MetricsRegistry` to time the batch
-    (``rates.allocate_all``) and count the rates produced
-    (``rates.allocated``).
+    by tests.
     """
-
-    def solve_all() -> dict[FlowId, float]:
-        return {
-            flow_id: allocate_rate(
-                problem,
-                flow_id,
-                populations,
-                aggregate_flow_price(
-                    problem, flow_id, populations, node_prices, link_prices
-                ),
-            )
-            for flow_id in problem.flows
-        }
-
-    if registry is None:
-        return solve_all()
-    with registry.timer("rates.allocate_all"):
-        rates = solve_all()
-    registry.counter("rates.allocated").inc(len(rates))
-    return rates
+    return {
+        flow_id: allocate_rate(
+            problem,
+            flow_id,
+            populations,
+            aggregate_flow_price(
+                problem, flow_id, populations, node_prices, link_prices
+            ),
+        )
+        for flow_id in problem.flows
+    }

@@ -3,8 +3,8 @@
 Pure-stdlib observability substrate shared by the LRGP core, both
 runtimes and the event simulator (see docs/observability.md):
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
-  and ``timer()`` profiling hooks;
+* :class:`MetricsRegistry` — counters, gauges and fixed-bucket
+  histograms;
 * typed trace events + sinks (:class:`MemorySink`, :class:`JsonlSink`,
   :class:`CsvSink`) behind the :class:`TraceSink` protocol;
 * :class:`Telemetry` — the registry+sink bundle instrumented code takes
@@ -21,7 +21,9 @@ runtimes and the event simulator (see docs/observability.md):
 * benchmark trajectory + regression watchdog with phase-level blame
   (:mod:`repro.obs.bench`);
 * hierarchical phase profiling with flamegraph / speedscope export
-  (:mod:`repro.obs.profile`), off by default via :data:`NULL_PROFILER`;
+  (:mod:`repro.obs.profile`), off by default via :data:`NULL_PROFILER` —
+  the only wall-clock instrument, mirrored into a registry as
+  ``profile.phase.*`` metrics by :func:`register_phase_metrics`;
 * Prometheus-text and JSON snapshot exporters.
 
 This package imports nothing from ``repro.core`` / ``repro.runtime`` /
@@ -93,7 +95,6 @@ from repro.obs.profile import (
     to_speedscope,
 )
 from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
     DEFAULT_VALUE_BUCKETS,
     NULL_REGISTRY,
     Counter,
@@ -104,7 +105,6 @@ from repro.obs.registry import (
     MetricsRegistry,
     MetricsSnapshot,
     NullRegistry,
-    Timer,
 )
 from repro.obs.replay import ReplayEngine, ReplayError, ReplayState, render_state
 from repro.obs.sinks import (
@@ -127,7 +127,6 @@ __all__ = [
     "NULL_REGISTRY",
     "NULL_SINK",
     "NULL_TELEMETRY",
-    "DEFAULT_TIME_BUCKETS",
     "DEFAULT_VALUE_BUCKETS",
     "TRACE_SCHEMA_VERSION",
     "ActivationSpan",
@@ -172,7 +171,6 @@ __all__ = [
     "ResourceDiagnostics",
     "Span",
     "Telemetry",
-    "Timer",
     "TraceEvent",
     "TraceEventError",
     "TraceSink",

@@ -8,7 +8,8 @@ data as one machine-readable object (stable schema, version-tagged like
 the lint report).
 
 Metric names are sanitized to the Prometheus charset and prefixed with
-``repro_`` (``lrgp.iteration`` -> ``repro_lrgp_iteration``).
+``repro_`` (``profile.phase.solve.iteration.total_seconds`` ->
+``repro_profile_phase_solve_iteration_total_seconds``).
 """
 
 from __future__ import annotations

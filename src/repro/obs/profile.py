@@ -1,11 +1,11 @@
 """``repro.obs.profile`` — deterministic hierarchical phase profiling.
 
-The registry's timers answer "how long does one iteration take"; this
-module answers "where inside the iteration the time goes".  A
-:class:`PhaseProfiler` maintains a stack of nested *phase spans* — the
-solver opens ``solve -> iteration -> argmax / admission / price_update``,
-the runtimes ``runtime -> activation / delivery / retransmit /
-checkpoint`` — and accumulates per-phase wall time
+This is the repository's one wall-clock instrument: it answers both
+"how long does one iteration take" and "where inside the iteration the
+time goes".  A :class:`PhaseProfiler` maintains a stack of nested *phase
+spans* — the solver opens ``solve -> iteration -> argmax / admission /
+price_update``, the runtimes ``runtime -> activation / delivery /
+retransmit / checkpoint`` — and accumulates per-phase wall time
 (``time.perf_counter_ns``), CPU time (``time.process_time_ns``), call
 counts and, optionally, allocation deltas (``tracemalloc``).  The tree
 is keyed purely by phase names in call order, so two runs of the same
@@ -170,6 +170,33 @@ class PhaseStat:
         return ".".join(self.path)
 
 
+def _tree_stats(root: _PhaseNode) -> tuple[PhaseStat, ...]:
+    """The tree under ``root`` as stats in depth-first pre-order, each
+    with its self cost (total minus its children's totals)."""
+    stats: list[PhaseStat] = []
+
+    def walk(node: _PhaseNode, path: tuple[str, ...]) -> None:
+        for child in node.children.values():
+            child_path = path + (child.name,)
+            nested_wall = sum(g.wall_ns for g in child.children.values())
+            nested_cpu = sum(g.cpu_ns for g in child.children.values())
+            stats.append(
+                PhaseStat(
+                    path=child_path,
+                    calls=child.calls,
+                    wall_ns=child.wall_ns,
+                    cpu_ns=child.cpu_ns,
+                    self_wall_ns=child.wall_ns - nested_wall,
+                    self_cpu_ns=child.cpu_ns - nested_cpu,
+                    alloc_bytes=child.alloc_bytes,
+                )
+            )
+            walk(child, child_path)
+
+    walk(root, ())
+    return tuple(stats)
+
+
 @dataclass(frozen=True)
 class ProfileReport:
     """Immutable snapshot of a profiler's phase tree.
@@ -267,29 +294,9 @@ class PhaseProfiler:
 
     def report(self) -> ProfileReport:
         """Aggregate the tree (closed spans only) into a report."""
-        stats: list[PhaseStat] = []
-
-        def walk(node: _PhaseNode, path: tuple[str, ...]) -> None:
-            for child in node.children.values():
-                child_path = path + (child.name,)
-                nested_wall = sum(g.wall_ns for g in child.children.values())
-                nested_cpu = sum(g.cpu_ns for g in child.children.values())
-                stats.append(
-                    PhaseStat(
-                        path=child_path,
-                        calls=child.calls,
-                        wall_ns=child.wall_ns,
-                        cpu_ns=child.cpu_ns,
-                        self_wall_ns=child.wall_ns - nested_wall,
-                        self_cpu_ns=child.cpu_ns - nested_cpu,
-                        alloc_bytes=child.alloc_bytes,
-                    )
-                )
-                walk(child, child_path)
-
-        walk(self._root, ())
         return ProfileReport(
-            stats=tuple(stats), track_allocations=self._track_allocations
+            stats=_tree_stats(self._root),
+            track_allocations=self._track_allocations,
         )
 
 
@@ -337,29 +344,8 @@ def merge_reports(*reports: ProfileReport) -> ProfileReport:
             node.cpu_ns += stat.cpu_ns
             node.alloc_bytes += stat.alloc_bytes
 
-    stats: list[PhaseStat] = []
-
-    def walk(node: _PhaseNode, path: tuple[str, ...]) -> None:
-        for child in node.children.values():
-            child_path = path + (child.name,)
-            nested_wall = sum(g.wall_ns for g in child.children.values())
-            nested_cpu = sum(g.cpu_ns for g in child.children.values())
-            stats.append(
-                PhaseStat(
-                    path=child_path,
-                    calls=child.calls,
-                    wall_ns=child.wall_ns,
-                    cpu_ns=child.cpu_ns,
-                    self_wall_ns=child.wall_ns - nested_wall,
-                    self_cpu_ns=child.cpu_ns - nested_cpu,
-                    alloc_bytes=child.alloc_bytes,
-                )
-            )
-            walk(child, child_path)
-
-    walk(merged, ())
     return ProfileReport(
-        stats=tuple(stats),
+        stats=_tree_stats(merged),
         track_allocations=any(r.track_allocations for r in reports),
     )
 

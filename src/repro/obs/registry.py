@@ -1,13 +1,16 @@
-"""Metrics primitives: counters, gauges, fixed-bucket histograms, timers.
+"""Metrics primitives: counters, gauges and fixed-bucket histograms.
 
 The registry is the numeric half of the telemetry layer (events are the
-other half, :mod:`repro.obs.events`).  Design constraints, in order:
+other half, :mod:`repro.obs.events`).  It counts and samples; it does not
+time.  Wall-clock spans belong to :class:`repro.obs.profile.PhaseProfiler`,
+whose report :func:`repro.obs.profile.register_phase_metrics` mirrors into a
+registry as ``profile.phase.*`` metrics.  Design constraints, in order:
 
 1. **The disabled path is allocation-free.**  Every instrumented hot loop
-   (one LRGP iteration, one runtime round, one simulator event) runs with
-   the :class:`NullRegistry` by default; its ``counter()`` / ``timer()``
-   accessors return shared no-op singletons, so instrumentation costs a
-   couple of attribute lookups and nothing else.
+   (one runtime round, one simulator event) runs with the
+   :class:`NullRegistry` by default; its ``counter()`` / ``gauge()`` /
+   ``histogram()`` accessors return shared no-op singletons, so
+   instrumentation costs a couple of attribute lookups and nothing else.
 2. **Pure stdlib, no locks.**  The optimizer and both runtimes are single
    threaded; the registry mirrors that and stays trivially fast.
 3. **Values are validated like iterates.**  NaN or infinite observations
@@ -16,25 +19,14 @@ other half, :mod:`repro.obs.events`).  Design constraints, in order:
    as a poisoned price.
 
 Histograms use fixed upper-bound buckets (Prometheus-style cumulative
-export, see :mod:`repro.obs.export`); timers are histograms of seconds fed
-from ``time.perf_counter_ns``.
+export, see :mod:`repro.obs.export`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import time
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any, TypeVar
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-#: Default timer buckets, in seconds: 1µs .. 10s, one decade per bucket.
-DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0,
-)
 
 #: Default value buckets for plain histograms (decades around 1.0).
 DEFAULT_VALUE_BUCKETS: tuple[float, ...] = (
@@ -207,38 +199,6 @@ class Histogram:
         )
 
 
-class Timer:
-    """Times a block (``with registry.timer("x"):``) or a function
-    (``@registry.timer("x")``), feeding seconds into a histogram."""
-
-    __slots__ = ("_histogram", "_started_ns")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._started_ns = 0
-
-    def __enter__(self) -> "Timer":
-        self._started_ns = time.perf_counter_ns()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        elapsed_ns = time.perf_counter_ns() - self._started_ns
-        self._histogram.observe(elapsed_ns / 1e9)
-
-    def __call__(self, func: _F) -> _F:
-        histogram = self._histogram
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            started = time.perf_counter_ns()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                histogram.observe((time.perf_counter_ns() - started) / 1e9)
-
-        return wrapper  # type: ignore[return-value]
-
-
 @dataclass(frozen=True)
 class MetricsSnapshot:
     """One consistent view of every metric in a registry."""
@@ -344,9 +304,6 @@ class MetricsRegistry:
             existing = self._histograms[name] = Histogram(name, bounds)
         return existing
 
-    def timer(self, name: str) -> Timer:
-        return Timer(self.histogram(name, DEFAULT_TIME_BUCKETS))
-
     def snapshot(self) -> MetricsSnapshot:
         return MetricsSnapshot(
             counters={name: c.value for name, c in sorted(self._counters.items())},
@@ -419,23 +376,9 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def __enter__(self) -> "Timer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-    def __call__(self, func: _F) -> _F:
-        return func
-
-
 _NULL_COUNTER = _NullCounter("null")
 _NULL_GAUGE = _NullGauge("null")
 _NULL_HISTOGRAM = _NullHistogram("null", (1.0,))
-_NULL_TIMER = _NullTimer(_NULL_HISTOGRAM)
 
 
 class NullRegistry(MetricsRegistry):
@@ -452,9 +395,6 @@ class NullRegistry(MetricsRegistry):
         self, name: str, bounds: Iterable[float] = DEFAULT_VALUE_BUCKETS
     ) -> Histogram:
         return _NULL_HISTOGRAM
-
-    def timer(self, name: str) -> Timer:
-        return _NULL_TIMER
 
     def merge_snapshot(self, snapshot: MetricsSnapshot) -> None:
         # Merging into the shared no-op singletons would mutate global

@@ -136,9 +136,7 @@ class SynchronousRuntime:
         """Run one round (= one LRGP iteration); returns the round utility."""
         telemetry = self._telemetry
         profiler = telemetry.profiler
-        with telemetry.registry.timer("runtime.sync.round"), profiler.phase(
-            "runtime"
-        ):
+        with profiler.phase("runtime"):
             stamp = float(self._round)
             rate_messages: list[Message] = []
             with profiler.phase("activation"):

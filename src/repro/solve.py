@@ -27,10 +27,8 @@ Methods:
 * ``"hill_climb"`` / ``"random_search"`` — calibration baselines.
 * ``"coordinate"`` — alternating exact-rate / greedy-population stages.
 
-Every method returns the same frozen :class:`SolveResult`.  The legacy
-per-family attribute names (``best_utility``, ``best_allocation``,
-``final_utility``) still resolve on it — with a :class:`DeprecationWarning`
-— so call sites migrating from the old result objects keep working.
+Every method returns the same frozen :class:`SolveResult`; method-specific
+extras live in its ``metadata`` mapping, not in attributes.
 
 Method-specific imports happen lazily inside the runners so that
 ``import repro`` stays as light as the reference driver (in particular,
@@ -41,7 +39,6 @@ baselines).
 from __future__ import annotations
 
 import time
-import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -54,14 +51,6 @@ from repro.model.problem import Problem
 
 if TYPE_CHECKING:
     from repro.core.multirate import MultirateAllocation
-
-#: Old result-object attribute names still resolvable on :class:`SolveResult`
-#: (with a deprecation warning), mapped to their replacements.
-_LEGACY_ALIASES: dict[str, str] = {
-    "best_utility": "utility",
-    "final_utility": "utility",
-    "best_allocation": "allocation",
-}
 
 #: Methods for which the ``engine=`` selector is meaningful: the ones that
 #: execute LRGP iterations through :mod:`repro.core.engines`.
@@ -126,31 +115,6 @@ class SolveResult:
     converged_at: int | None
     wall_time_seconds: float
     metadata: Mapping[str, Any] = field(default_factory=dict)
-
-    def __getattr__(self, name: str) -> Any:
-        alias = _LEGACY_ALIASES.get(name)
-        if alias is not None:
-            warnings.warn(
-                f"SolveResult.{name} is deprecated; use SolveResult.{alias}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return getattr(self, alias)
-        try:
-            metadata = object.__getattribute__(self, "metadata")
-        except AttributeError:  # mid-construction (copy/pickle protocols)
-            metadata = {}
-        if name in metadata:
-            warnings.warn(
-                f"SolveResult.{name} is deprecated; read "
-                f"SolveResult.metadata[{name!r}] instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return metadata[name]
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready form (the ``repro optimize --json`` payload).

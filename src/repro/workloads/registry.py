@@ -1,9 +1,8 @@
 """Workload registry: stable names onto parameterized problem factories.
 
-Before PR 8 every consumer of a workload addressed it its own way — the
-CLI kept a hand-rolled name->lambda table, experiments called the
-builders directly, and there was no single list of "the workloads this
-repository ships".  The registry is that single place:
+The registry is the single list of "the workloads this repository
+ships": the CLI, sweep grids and experiments all address a workload
+through it rather than calling builders directly.
 
 >>> from repro.workloads.registry import get_workload, list_workloads
 >>> problem = get_workload("base", shape="pow50")
@@ -25,17 +24,13 @@ factories expose (counts, capacities, seeds, utility shape names).
 Aliases
 -------
 Convenience names (``flows-x4`` for ``flows:factor=4``) resolve through
-:data:`_ALIASES`; the deprecated pre-registry spellings (``base-pow50``,
-``link-bottleneck``) still work but raise :class:`DeprecationWarning`
-with the canonical replacement in the message.  Every workload reachable
-from the old CLI table is reachable by name here — pinned by
-``tests/workloads/test_registry.py``.
+:data:`_ALIASES`.  Utility shapes are parameters, not names: the paper's
+power-utility variants are ``base:shape=pow50`` and friends.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -77,9 +72,9 @@ class WorkloadEntry:
 
 _REGISTRY: dict[str, WorkloadEntry] = {}
 
-#: alias -> (canonical name, implied params, deprecated?).  Explicit params
-#: passed by the caller override the implied ones.
-_ALIASES: dict[str, tuple[str, dict[str, Any], bool]] = {}
+#: alias -> (canonical name, implied params).  Explicit params passed by
+#: the caller override the implied ones.
+_ALIASES: dict[str, tuple[str, dict[str, Any]]] = {}
 
 
 def register_workload(
@@ -98,13 +93,10 @@ def register_workload(
 
 
 def register_alias(
-    alias: str,
-    target: str,
-    params: Mapping[str, Any] | None = None,
-    deprecated: bool = False,
+    alias: str, target: str, params: Mapping[str, Any] | None = None
 ) -> None:
     """Map ``alias`` to ``target`` with implied parameters."""
-    _ALIASES[alias] = (target, dict(params or {}), deprecated)
+    _ALIASES[alias] = (target, dict(params or {}))
 
 
 def list_workloads() -> tuple[str, ...]:
@@ -113,10 +105,10 @@ def list_workloads() -> tuple[str, ...]:
 
 
 def list_aliases() -> dict[str, str]:
-    """alias -> canonical spec it resolves to (deprecated ones included)."""
+    """alias -> canonical spec it resolves to."""
     return {
         alias: format_workload_spec(target, params)
-        for alias, (target, params, _) in sorted(_ALIASES.items())
+        for alias, (target, params) in sorted(_ALIASES.items())
     }
 
 
@@ -135,17 +127,10 @@ def get_workload(name: str, **params: Any) -> Problem:
     """Build the named workload; keyword ``params`` reach the factory.
 
     Aliases resolve first (explicit params override the alias's implied
-    ones); deprecated spellings warn with the canonical replacement.
+    ones).
     """
     if name in _ALIASES:
-        target, implied, deprecated = _ALIASES[name]
-        if deprecated:
-            replacement = format_workload_spec(target, implied)
-            warnings.warn(
-                f"workload name {name!r} is deprecated; use {replacement!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
+        target, implied = _ALIASES[name]
         merged = {**implied, **params}
         return get_workload(target, **merged)
     entry = entry_for(name)
@@ -242,8 +227,7 @@ def canonical_workload_spec(spec: str) -> str:
 
     Two spellings of the same cell (``flows-x4`` vs ``flows:factor=4``,
     or parameters in a different order) normalize to the same string, so
-    the sweep cache treats them as the same content.  Deprecation
-    warnings are suppressed — normalization is not use.
+    the sweep cache treats them as the same content.
     """
     name, params = parse_workload_spec(spec)
     seen = set()
@@ -251,7 +235,7 @@ def canonical_workload_spec(spec: str) -> str:
         if name in seen:
             raise ValueError(f"alias cycle at workload {name!r}")
         seen.add(name)
-        target, implied, _ = _ALIASES[name]
+        target, implied = _ALIASES[name]
         params = {**implied, **params}
         name = target
     entry_for(name)  # unknown names fail here, with the full listing
@@ -377,9 +361,3 @@ register_alias("flows-x4", "flows", {"factor": 4})
 register_alias("cnodes-x2", "cnodes", {"factor": 2})
 register_alias("cnodes-x4", "cnodes", {"factor": 4})
 register_alias("cnodes-x8", "cnodes", {"factor": 8})
-
-# Deprecated pre-registry spellings (the old CLI BUILTIN_WORKLOADS table).
-register_alias("base-pow25", "base", {"shape": "pow25"}, deprecated=True)
-register_alias("base-pow50", "base", {"shape": "pow50"}, deprecated=True)
-register_alias("base-pow75", "base", {"shape": "pow75"}, deprecated=True)
-register_alias("link-bottleneck", "bottleneck", {}, deprecated=True)

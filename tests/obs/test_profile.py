@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.cli import BUILTIN_WORKLOADS
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.obs import (
     NULL_PROFILER,
@@ -21,6 +20,7 @@ from repro.obs import (
     to_speedscope,
 )
 from repro.obs.profile import _NULL_SPAN
+from repro.workloads.registry import workload_from_spec
 
 
 class TestPhaseProfiler:
@@ -264,7 +264,7 @@ class TestProfiledSolvesStayExact:
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_profiled_trajectory_is_bit_identical(self, engine):
-        problem = BUILTIN_WORKLOADS["flows-x4"]()
+        problem = workload_from_spec("flows-x4")
         plain = LRGP(problem, LRGPConfig(engine=engine))
         plain.run(60)
         profiled = LRGP(
@@ -278,7 +278,7 @@ class TestProfiledSolvesStayExact:
 
     def test_phase_self_times_account_for_solve_wall_clock(self):
         """Self times on flows-x4 sum to within 2% of the measured wall."""
-        problem = BUILTIN_WORKLOADS["flows-x4"]()
+        problem = workload_from_spec("flows-x4")
         profiler = PhaseProfiler()
         optimizer = LRGP(
             problem, LRGPConfig(telemetry=Telemetry(profiler=profiler))
@@ -291,7 +291,7 @@ class TestProfiledSolvesStayExact:
         assert abs(report.total_wall_ns - measured) / measured < 0.02
 
     def test_solver_phase_tree_shape(self):
-        problem = BUILTIN_WORKLOADS["base"]()
+        problem = workload_from_spec("base")
         profiler = PhaseProfiler()
         LRGP(problem, LRGPConfig(telemetry=Telemetry(profiler=profiler))).run(5)
         dotted = [stat.dotted for stat in profiler.report().stats]

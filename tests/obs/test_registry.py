@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
     NULL_REGISTRY,
     Histogram,
     MetricsError,
@@ -91,39 +90,6 @@ class TestHistogram:
             Histogram("h", bounds=bounds)
 
 
-class TestTimer:
-    def test_context_manager_observes_elapsed_seconds(self):
-        registry = MetricsRegistry()
-        with registry.timer("t"):
-            pass
-        snap = registry.snapshot().histograms["t"]
-        assert snap.count == 1
-        assert snap.bounds == DEFAULT_TIME_BUCKETS
-        assert 0.0 <= snap.total < 1.0  # well under a second
-
-    def test_decorator_observes_every_call(self):
-        registry = MetricsRegistry()
-
-        @registry.timer("t")
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert work(2) == 3
-        assert registry.snapshot().histograms["t"].count == 2
-
-    def test_decorator_observes_on_exception(self):
-        registry = MetricsRegistry()
-
-        @registry.timer("t")
-        def boom():
-            raise RuntimeError("x")
-
-        with pytest.raises(RuntimeError):
-            boom()
-        assert registry.snapshot().histograms["t"].count == 1
-
-
 class TestRegistry:
     def test_name_cannot_change_kind(self):
         registry = MetricsRegistry()
@@ -153,14 +119,12 @@ class TestNullRegistry:
         registry = NullRegistry()
         assert registry.counter("a") is registry.counter("b")
         assert registry.gauge("a") is registry.gauge("b")
-        assert registry.timer("a") is registry.timer("b")
+        assert registry.histogram("a") is registry.histogram("b")
 
     def test_everything_is_a_noop(self):
         NULL_REGISTRY.counter("c").inc(math.pi)
         NULL_REGISTRY.gauge("g").set(1.0)
         NULL_REGISTRY.histogram("h").observe(1.0)
-        with NULL_REGISTRY.timer("t"):
-            pass
         assert NULL_REGISTRY.snapshot().empty
 
     def test_null_counter_swallows_even_invalid_values(self):
@@ -168,9 +132,3 @@ class TestNullRegistry:
         NULL_REGISTRY.counter("c").inc(float("nan"))
         NULL_REGISTRY.gauge("g").set(float("inf"))
         NULL_REGISTRY.histogram("h").observe(float("nan"))
-
-    def test_decorator_passthrough(self):
-        def f():
-            return 42
-
-        assert NULL_REGISTRY.timer("t")(f) is f

@@ -4,13 +4,16 @@ import json
 
 import pytest
 
-from repro.cli import BUILTIN_WORKLOADS, load_problem, main
+from repro.cli import load_problem, main
 from repro.model.serialization import allocation_from_json, problem_from_json
+from repro.workloads.registry import list_aliases
 
 
 class TestLoadProblem:
     def test_every_builtin_loads(self):
-        for name in BUILTIN_WORKLOADS:
+        names = [*list_aliases(), "base", "trade-data", "latest-price",
+                 "tree", "micro"]
+        for name in names:
             problem = load_problem(name)
             assert problem.flows
 
@@ -178,6 +181,15 @@ class TestStatsCommand:
         payload = json.loads(path.read_text())
         assert payload["metrics"]["counters"]["lrgp.iterations"] == 20
 
+    def test_timings_are_phase_metrics(self, capsys):
+        assert main(
+            ["stats", "base", "--iterations", "20", "--format", "prometheus"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "repro_profile_phase_solve_iteration_total_seconds" in out
+        assert "repro_profile_phase_solve_iteration_calls_total 20" in out
+        assert "repro_lrgp_iteration_bucket" not in out
+
 
 class TestChaosCommand:
     ARGS = [
@@ -215,7 +227,7 @@ class TestTraceCommand:
         from repro.obs.events import IterationEvent, event_from_dict
 
         assert main(
-            ["trace", "micro", "--iterations", "25", "--events", "iteration"]
+            ["trace", "run", "micro", "--iterations", "25", "--events", "iteration"]
         ) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 25
@@ -225,7 +237,7 @@ class TestTraceCommand:
 
     def test_snapshots_flag_adds_state_columns(self, capsys):
         assert main(
-            ["trace", "micro", "--iterations", "10", "--events", "iteration",
+            ["trace", "run", "micro", "--iterations", "10", "--events", "iteration",
              "--snapshots"]
         ) == 0
         first = json.loads(capsys.readouterr().out.splitlines()[0])
@@ -235,7 +247,7 @@ class TestTraceCommand:
 
     def test_csv_format(self, capsys):
         assert main(
-            ["trace", "micro", "--iterations", "10", "--events", "iteration",
+            ["trace", "run", "micro", "--iterations", "10", "--events", "iteration",
              "--format", "csv"]
         ) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -245,7 +257,7 @@ class TestTraceCommand:
     def test_output_file_reports_count(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
         assert main(
-            ["trace", "micro", "--iterations", "15", "--events", "iteration",
+            ["trace", "run", "micro", "--iterations", "15", "--events", "iteration",
              "-o", str(path)]
         ) == 0
         assert "15 event(s) written" in capsys.readouterr().out
@@ -253,29 +265,28 @@ class TestTraceCommand:
 
     def test_unknown_event_kind_rejected(self):
         with pytest.raises(SystemExit, match="unknown event"):
-            main(["trace", "micro", "--events", "bogus"])
+            main(["trace", "run", "micro", "--events", "bogus"])
 
     def test_async_engine_emits_messages(self, capsys):
         assert main(
-            ["trace", "micro", "--iterations", "20", "--engine", "async",
+            ["trace", "run", "micro", "--iterations", "20", "--engine", "async",
              "--events", "message"]
         ) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines
         assert all(json.loads(line)["type"] == "message" for line in lines)
 
-    def test_explicit_run_subcommand_is_equivalent(self, capsys):
-        # "trace micro" (pre-PR-5 spelling) and "trace run micro" are the
-        # same command; the bare form goes through the argv shim.
-        assert main(
-            ["trace", "run", "micro", "--iterations", "5",
-             "--events", "iteration"]
-        ) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 5
+    def test_bare_workload_form_is_a_usage_error(self, capsys):
+        # ``trace`` takes a subcommand; a workload in its place is an
+        # invalid choice, not an implied ``run``.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "micro", "--iterations", "5"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'micro'" in capsys.readouterr().err
 
     def test_v2_messages_carry_causal_spans(self, capsys):
         assert main(
-            ["trace", "micro", "--iterations", "5", "--engine", "sync",
+            ["trace", "run", "micro", "--iterations", "5", "--engine", "sync",
              "--events", "message"]
         ) == 0
         records = [
@@ -287,14 +298,14 @@ class TestTraceCommand:
 
     def test_gzip_capture_requires_output_file(self):
         with pytest.raises(SystemExit, match="requires -o"):
-            main(["trace", "micro", "--gzip"])
+            main(["trace", "run", "micro", "--gzip"])
 
     def test_gzip_capture_round_trips(self, tmp_path, capsys):
         from repro.obs import read_jsonl
 
         path = tmp_path / "trace.jsonl.gz"
         assert main(
-            ["trace", "micro", "--iterations", "10", "--events", "iteration",
+            ["trace", "run", "micro", "--iterations", "10", "--events", "iteration",
              "--gzip", "-o", str(path)]
         ) == 0
         assert "10 event(s) written" in capsys.readouterr().out
@@ -308,7 +319,7 @@ def capture_path(tmp_path_factory):
     """One shared micro capture for the show/causal/replay commands."""
     path = tmp_path_factory.mktemp("capture") / "trace.jsonl"
     assert main(
-        ["trace", "micro", "--iterations", "120", "--engine", "sync",
+        ["trace", "run", "micro", "--iterations", "120", "--engine", "sync",
          "-o", str(path)]
     ) == 0
     return str(path)
@@ -528,6 +539,25 @@ class TestProfileCommand:
         ) == 0
         assert "alloc" in capsys.readouterr().out
 
+    def test_records_spans_only(self, monkeypatch):
+        import repro.cli
+        from repro.obs import NULL_REGISTRY, NULL_SINK
+
+        bundles = []
+        original = repro.cli._telemetry_run
+
+        def spy(args, problem, telemetry=None):
+            bundles.append(telemetry)
+            return original(args, problem, telemetry=telemetry)
+
+        monkeypatch.setattr(repro.cli, "_telemetry_run", spy)
+        assert main(["profile", "micro", "--iterations", "10"]) == 0
+        (telemetry,) = bundles
+        assert telemetry.enabled is False
+        assert telemetry.registry is NULL_REGISTRY
+        assert telemetry.sink is NULL_SINK
+        assert telemetry.profiler.enabled
+
 
 class TestDashboardBoundedMemory:
     def make_events(self, count):
@@ -583,7 +613,7 @@ class TestFollowRejectsGzip:
     def test_follow_on_gzip_capture_exits_with_clear_error(self, tmp_path):
         path = tmp_path / "capture.jsonl.gz"
         assert main(
-            ["trace", "micro", "--iterations", "5", "--gzip", "-o", str(path)]
+            ["trace", "run", "micro", "--iterations", "5", "--gzip", "-o", str(path)]
         ) == 0
         with pytest.raises(SystemExit, match="cannot --follow gzip"):
             main(["trace", "show", str(path), "--follow"])
@@ -591,7 +621,7 @@ class TestFollowRejectsGzip:
     def test_show_without_follow_still_reads_gzip(self, tmp_path, capsys):
         path = tmp_path / "capture.jsonl.gz"
         assert main(
-            ["trace", "micro", "--iterations", "5", "--gzip", "-o", str(path)]
+            ["trace", "run", "micro", "--iterations", "5", "--gzip", "-o", str(path)]
         ) == 0
         capsys.readouterr()
         assert main(["trace", "show", str(path)]) == 0
@@ -672,10 +702,9 @@ class TestWorkloadSpecConvention:
         data = json.loads(capsys.readouterr().out)
         assert data["version"] == 1
 
-    def test_deprecated_spelling_still_reachable(self, capsys):
-        with pytest.warns(DeprecationWarning, match="base:shape=pow50"):
-            assert main(["optimize", "base-pow50", "--iterations", "30"]) == 0
-        assert "utility:" in capsys.readouterr().out
+    def test_removed_spelling_is_an_unknown_workload(self):
+        with pytest.raises(SystemExit, match="unknown workload 'base-pow50'"):
+            main(["optimize", "base-pow50", "--iterations", "30"])
 
     def test_workload_list_shows_registry_and_aliases(self, capsys):
         assert main(["workload", "--list"]) == 0

@@ -95,7 +95,7 @@ class TestTopLevelExports:
 
 
 class TestDeprecatedWorkloadSpellings:
-    """The pre-registry names keep working, but only under a warning."""
+    """The pre-registry names are gone; their replacements build."""
 
     DEPRECATED = {
         "base-pow25": "base:shape=pow25",
@@ -107,13 +107,12 @@ class TestDeprecatedWorkloadSpellings:
     @pytest.mark.parametrize(
         ("old", "replacement"), sorted(DEPRECATED.items())
     )
-    def test_old_spelling_warns_and_still_builds(self, old, replacement):
-        with pytest.warns(DeprecationWarning, match=replacement):
-            problem = repro.workload_from_spec(old)
+    def test_old_spelling_fails_canonical_builds(self, old, replacement):
+        with pytest.raises(KeyError, match="unknown workload"):
+            repro.workload_from_spec(old)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            canonical = repro.workload_from_spec(replacement)
-        assert problem.describe() == canonical.describe()
+            assert repro.workload_from_spec(replacement).flows
 
     def test_stable_names_do_not_warn(self):
         with warnings.catch_warnings():

@@ -203,19 +203,19 @@ class TestValidation:
 
 
 class TestLegacyAliases:
-    def test_deprecated_attributes_resolve_with_warning(self, problem):
+    def test_legacy_attribute_names_are_gone(self, problem):
         result = solve(problem, "annealing", iterations=500)
-        with pytest.warns(DeprecationWarning):
-            assert result.best_utility == result.utility
-        with pytest.warns(DeprecationWarning):
-            assert result.final_utility == result.utility
-        with pytest.warns(DeprecationWarning):
-            assert result.best_allocation is result.allocation
+        for old in ("best_utility", "final_utility", "best_allocation"):
+            with pytest.raises(AttributeError, match=old):
+                getattr(result, old)
+        assert result.utilities == (result.utility,)
+        assert result.allocation.populations
 
-    def test_metadata_keys_resolve_with_warning(self, problem):
+    def test_metadata_keys_are_not_attributes(self, problem):
         result = solve(problem, "annealing", iterations=500)
-        with pytest.warns(DeprecationWarning):
-            assert result.accepted == result.metadata["accepted"]
+        with pytest.raises(AttributeError, match="accepted"):
+            result.accepted
+        assert result.metadata["accepted"] >= 0
 
     def test_unknown_attribute_raises(self, problem):
         result = solve(problem, "lrgp", iterations=5)

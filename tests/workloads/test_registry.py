@@ -1,4 +1,4 @@
-"""Workload registry: names, specs, aliases, deprecations."""
+"""Workload registry: names, specs and aliases."""
 
 import pytest
 
@@ -16,24 +16,30 @@ from repro.workloads.registry import (
     workload_from_spec,
 )
 
-#: Every workload name the pre-registry CLI table accepted — each must
-#: stay reachable through the registry (the api_redesign contract).
-OLD_CLI_SPELLINGS = [
-    "base",
-    "base-pow25",
-    "base-pow50",
-    "base-pow75",
-    "flows-x2",
-    "flows-x4",
-    "cnodes-x2",
-    "cnodes-x4",
-    "cnodes-x8",
-    "trade-data",
-    "latest-price",
-    "link-bottleneck",
-    "tree",
-    "micro",
-]
+#: Every workload the pre-registry CLI table offered, by its old name,
+#: mapped to the spec that builds it now.  The workloads all stay
+#: reachable; four old spellings are gone in favour of their specs.
+OLD_CLI_SPELLINGS = {
+    "base": "base",
+    "base-pow25": "base:shape=pow25",
+    "base-pow50": "base:shape=pow50",
+    "base-pow75": "base:shape=pow75",
+    "flows-x2": "flows-x2",
+    "flows-x4": "flows-x4",
+    "cnodes-x2": "cnodes-x2",
+    "cnodes-x4": "cnodes-x4",
+    "cnodes-x8": "cnodes-x8",
+    "trade-data": "trade-data",
+    "latest-price": "latest-price",
+    "link-bottleneck": "bottleneck",
+    "tree": "tree",
+    "micro": "micro",
+}
+
+#: The old spellings that no longer resolve.
+REMOVED_SPELLINGS = {
+    old: spec for old, spec in OLD_CLI_SPELLINGS.items() if old != spec
+}
 
 
 class TestRegistryListing:
@@ -60,18 +66,14 @@ class TestRegistryListing:
 class TestOldSpellings:
     @pytest.mark.parametrize("name", OLD_CLI_SPELLINGS)
     def test_every_old_cli_spelling_builds(self, name):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            problem = get_workload(name)
+        problem = workload_from_spec(OLD_CLI_SPELLINGS[name])
         assert problem.flows
 
-    def test_deprecated_spellings_warn_with_replacement(self):
-        with pytest.warns(DeprecationWarning, match="base:shape=pow50"):
-            get_workload("base-pow50")
-        with pytest.warns(DeprecationWarning, match="bottleneck"):
-            get_workload("link-bottleneck")
+    def test_removed_spellings_fail_and_replacements_build(self):
+        for old, replacement in REMOVED_SPELLINGS.items():
+            with pytest.raises(KeyError, match="unknown workload"):
+                get_workload(old)
+            assert workload_from_spec(replacement).flows
 
     def test_stable_aliases_do_not_warn(self):
         import warnings
@@ -130,7 +132,7 @@ class TestSpecs:
         )
 
     def test_canonical_is_idempotent(self):
-        spec = canonical_workload_spec("base-pow50")
+        spec = canonical_workload_spec("flows-x4")
         assert canonical_workload_spec(spec) == spec
 
     def test_canonical_rejects_unknown_names(self):
@@ -205,4 +207,4 @@ class TestRegistration:
     def test_list_aliases_maps_to_canonical_specs(self):
         aliases = list_aliases()
         assert aliases["flows-x4"] == "flows:factor=4"
-        assert aliases["base-pow25"] == "base:shape=pow25"
+        assert aliases["cnodes-x8"] == "cnodes:factor=8"
