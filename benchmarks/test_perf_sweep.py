@@ -19,8 +19,12 @@ and (c) per-cell telemetry capture costing at most
 core-gated: on an oversubscribed core, scheduling noise dwarfs capture).
 
 Every run archives ``results/BENCH_sweep.json`` so ``repro bench
-snapshot`` folds the farm numbers into the trajectory.  The speedup
-guard is marked ``perf`` so it can be selected alone with ``-m perf``.
+snapshot`` folds the farm numbers into the trajectory.  Below
+:data:`REQUIRED_CORES` the two core-gated ratios (``speedup`` and
+``capture.overhead``) are archived as ``{"skipped": reason}`` instead of a
+number, so the trajectory never reads an oversubscribed measurement as a
+farm one.  The speedup guard is marked ``perf`` so it can be selected
+alone with ``-m perf``.
 """
 
 from __future__ import annotations
@@ -103,6 +107,12 @@ def test_benchmark_sweep_archives_results(farm_rows):
         "required_cores": REQUIRED_CORES,
         **farm_rows,
     }
+    if farm_rows["cores"] < REQUIRED_CORES:
+        skipped = {
+            "skipped": f"{farm_rows['cores']} core(s) < {REQUIRED_CORES} required"
+        }
+        payload["speedup"] = skipped
+        payload["capture"] = {**farm_rows["capture"], "overhead": skipped}
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_sweep.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"

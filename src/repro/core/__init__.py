@@ -6,7 +6,7 @@
 * :mod:`repro.core.prices` — node (eq. 12) and link (eq. 13) price updates.
 * :mod:`repro.core.gamma` — fixed and adaptive step-size schedules.
 * :mod:`repro.core.convergence` — the 0.1%-amplitude stability criterion.
-* :mod:`repro.core.engines` — the engine registry (reference / vectorized).
+* :mod:`repro.core.engines` — the reference engine and the engine choice.
 * :mod:`repro.core.compiled` — problem lowering + the numpy fast path.
 """
 
@@ -34,7 +34,6 @@ from repro.core.engines import (
     StepOutcome,
     available_engines,
     create_engine,
-    register_engine,
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma, GammaSchedule
 from repro.core.lrgp import LRGP, AdmissionStrategy, IterationRecord, LRGPConfig
@@ -67,7 +66,6 @@ __all__ = [
     "StepOutcome",
     "available_engines",
     "create_engine",
-    "register_engine",
     "AdaptiveGamma",
     "AdmissionStrategy",
     "Enactor",

@@ -21,11 +21,11 @@ as batched array ops (:class:`VectorizedEngine`):
   more.  Admission counts match the reference bit for bit.
 * **Price updates** (eq. 12-13) — eq. 13 is one elementwise
   ``max(p + γ(u - c), 0)`` over the link axis (10k+ links on datacenter
-  fabrics), bit-identical to the scalar controller.  Eq. 12 and the
-  adaptive-γ heuristic stay a scalar loop mirroring
-  :class:`~repro.core.prices.NodePriceController`: the consumer-node axis
-  is short (3 nodes in the base workload, 100 on the 1k-flow fabric), and
-  there numpy's per-call overhead costs more than the loop.
+  fabrics), bit-identical to the scalar controller.  Eq. 12 and its
+  step-size schedule (section 4.2) run the reference engine's own
+  :class:`~repro.core.prices.NodePriceController` objects, one per
+  consumer node: that axis is short (3 nodes in the base workload, 100 on
+  the 1k-flow fabric), so arrays stay on the flow, class and link axes.
 
 The link/flow and node/flow incidence is stored as COO-style index arrays
 (``ln_link``/``ln_flow``/``ln_cost`` and ``fn_node``/``fn_flow``/
@@ -59,15 +59,16 @@ from repro.core.consumer_allocation import (
     _FLOOR_SLACK,  # shared admission flooring slack; same constant by design
     allocate_consumers,
 )
-from repro.core.engines import LRGPEngine, StepOutcome
-from repro.core.gamma import AdaptiveGamma, FixedGamma
+from repro.core.engines import LRGPEngine, StepOutcome, bind_node_controllers
+from repro.core.gamma import FixedGamma
+from repro.core.prices import NodePriceController, _validate_price
 from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
 from repro.obs.events import AdmissionEvent, now_ns
 from repro.utility.base import UtilityFunction
 from repro.utility.calculus import solve_rate
 from repro.utility.functions import LogUtility, PowerUtility, ScaledUtility
-from repro.utility.tolerance import close_enough, is_zero
+from repro.utility.tolerance import close_enough
 
 if TYPE_CHECKING:
     from repro.core.lrgp import LRGPConfig
@@ -487,30 +488,15 @@ def compile_problem(problem: Problem) -> CompiledProblem:
     )
 
 
-def _validate_initial_price(price: float, what: str) -> float:
-    if math.isnan(price) or math.isinf(price) or price < 0.0:
-        raise ValueError(f"{what} must be finite and non-negative, got {price}")
-    return price
-
-
-@dataclass
-class _NodeState:
-    """Preserved per-node controller state across a rebind (figure 3)."""
-
-    capacity: float
-    price: float
-    gamma: float
-    last_delta: float
-    has_last: bool
-
-
 class VectorizedEngine(LRGPEngine):
     """Runs the full LRGP iteration as numpy array ops on lowered state.
 
-    Supports the stock greedy admission and the fixed/adaptive gamma
-    schedules; configs carrying a custom admission strategy or gamma
-    subclass must use the reference engine (the constructor fails loudly
-    rather than silently diverging from the configured behavior).
+    Supports the stock greedy admission only; configs carrying a custom
+    admission strategy must use the reference engine (the constructor
+    fails loudly rather than silently diverging from the configured
+    behavior).  Any :class:`~repro.core.gamma.GammaSchedule` works: eq. 12
+    runs the reference :class:`~repro.core.prices.NodePriceController`
+    objects.
     """
 
     name = "vectorized"
@@ -521,34 +507,15 @@ class VectorizedEngine(LRGPEngine):
                 "the vectorized engine implements the paper's greedy admission "
                 "only; use engine='reference' for custom admission strategies"
             )
-        proto = config.node_gamma
-        if type(proto) is FixedGamma:
-            self._adaptive = False
-            self._gamma_initial = proto.gamma
-            self._gamma_increment = 0.0
-            self._gamma_backoff = 1.0
-            self._gamma_lower = 0.0
-            self._gamma_upper = math.inf
-        elif type(proto) is AdaptiveGamma:
-            self._adaptive = True
-            self._gamma_initial = proto.initial
-            self._gamma_increment = proto.increment
-            self._gamma_backoff = proto.backoff
-            self._gamma_lower = proto.lower
-            self._gamma_upper = proto.upper
-        else:
-            raise ValueError(
-                "the vectorized engine supports FixedGamma and AdaptiveGamma "
-                "schedules only; use engine='reference' for "
-                f"{type(proto).__name__}"
-            )
-        # Reuse the schedule's own validation for the link step size.
+        # Reuse the schedule's validation for the link step size and the
+        # controllers' for the initial link price; the node controllers
+        # validate the initial node price themselves.
         self._link_gamma = FixedGamma(config.link_gamma).gamma
-        _validate_initial_price(config.initial_node_price, "initial node price")
-        _validate_initial_price(config.initial_link_price, "initial link price")
+        _validate_price(config.initial_link_price)
         self._config = config
         self._compiled: CompiledProblem | None = None
-        self._node_probes: list["PriceProbe | None"] = []
+        #: One eq. 12 controller per consumer node, in ``node_ids`` order.
+        self._node_controllers: dict[NodeId, NodePriceController] = {}
         self._link_probes: list["PriceProbe | None"] = []
         self.bind(problem, preserve_state=False)
 
@@ -576,33 +543,26 @@ class VectorizedEngine(LRGPEngine):
         return dict(zip(self.compiled.class_ids, self._populations.tolist()))
 
     def node_prices(self) -> dict[NodeId, float]:
-        return dict(zip(self.compiled.node_ids, self._node_price))
+        return {nid: c.price for nid, c in self._node_controllers.items()}
 
     def link_prices(self) -> dict[LinkId, float]:
         return dict(zip(self.compiled.link_ids, self._link_price.tolist()))
 
     def node_gammas(self) -> dict[NodeId, float]:
-        return dict(zip(self.compiled.node_ids, self._gamma))
+        return {nid: c.gamma for nid, c in self._node_controllers.items()}
 
     # -- binding ------------------------------------------------------------
 
     def bind(self, problem: Problem, preserve_state: bool) -> None:
         old_rates: dict[FlowId, float] = {}
         old_populations: dict[ClassId, int] = {}
-        old_nodes: dict[NodeId, _NodeState] = {}
+        old_nodes: dict[NodeId, NodePriceController] = {}
         old_links: dict[LinkId, tuple[float, float]] = {}
         if preserve_state and self._compiled is not None:
             previous = self.compiled
             old_rates = self.rates()
             old_populations = self.populations()
-            for b, nid in enumerate(previous.node_ids):
-                old_nodes[nid] = _NodeState(
-                    capacity=float(previous.node_capacity[b]),
-                    price=self._node_price[b],
-                    gamma=self._gamma[b],
-                    last_delta=self._last_delta[b],
-                    has_last=self._has_last[b],
-                )
+            old_nodes = self._node_controllers
             old_links = dict(
                 zip(
                     previous.link_ids,
@@ -622,27 +582,11 @@ class VectorizedEngine(LRGPEngine):
         )
 
         config = self._config
-        n_nodes, n_links = compiled.n_nodes, compiled.n_links
-        # Node controller state lives in plain Python lists: the node axis
-        # is short (3 consumer nodes in the base workload, 100 on the
-        # 1k-flow fabric), and at that length a scalar loop beats numpy's
-        # per-call overhead on eq. 12's dozen elementwise steps.  Link
+        # The helper builds in consumer_nodes() order, which node_ids
+        # follows, so the controllers line up with the node axis; link
         # prices (10k+ at datacenter scale) are an array.
-        initial_node_price = float(config.initial_node_price)
-        self._node_price: list[float] = [initial_node_price] * n_nodes
-        self._gamma: list[float] = [self._gamma_initial] * n_nodes
-        self._last_delta: list[float] = [0.0] * n_nodes
-        self._has_last: list[bool] = [False] * n_nodes
-        for b, nid in enumerate(compiled.node_ids):
-            state = old_nodes.get(nid)
-            if state is not None and close_enough(
-                state.capacity, float(compiled.node_capacity[b])
-            ):
-                self._node_price[b] = state.price
-                self._gamma[b] = state.gamma
-                self._last_delta[b] = state.last_delta
-                self._has_last[b] = state.has_last
-        self._link_price = np.full(n_links, float(config.initial_link_price))
+        self._node_controllers = bind_node_controllers(problem, config, old_nodes)
+        self._link_price = np.full(compiled.n_links, float(config.initial_link_price))
         if old_links:
             for l, (lid, capacity) in enumerate(
                 zip(compiled.link_ids, compiled.link_capacity.tolist())
@@ -668,18 +612,13 @@ class VectorizedEngine(LRGPEngine):
         # n^max as floats, for the per-node budget that saturates every
         # chargeable class (the rate-dependent unit cost joins per step).
         self._max_consumers_float = compiled.max_consumers.astype(np.float64)
-        self._node_capacity_list = [float(c) for c in compiled.node_capacity]
 
         telemetry = config.telemetry
         if telemetry.enabled:
-            self._node_probes = [
-                telemetry.probe("node", nid) for nid in compiled.node_ids
-            ]
             self._link_probes = [
                 telemetry.probe("link", lid) for lid in compiled.link_ids
             ]
         else:
-            self._node_probes = []
             self._link_probes = []
 
     # -- one iteration -------------------------------------------------------
@@ -698,7 +637,10 @@ class VectorizedEngine(LRGPEngine):
                 populations = self._populations.astype(np.float64)
                 prices = compiled.flow_prices(
                     populations,
-                    np.array(self._node_price, dtype=np.float64),
+                    np.array(
+                        [c.price for c in self._node_controllers.values()],
+                        dtype=np.float64,
+                    ),
                     self._link_price,
                 )
                 self._rates = self._solve_rates(prices, populations)
@@ -706,7 +648,7 @@ class VectorizedEngine(LRGPEngine):
             # 2. Consumer allocation (Algorithm 2) and node prices (eq. 12).
             #    Same phase names as the reference engine, so profiles of
             #    the two engines diff phase-for-phase; γ observation runs
-            #    inline in _update_node_prices and folds into price_update.
+            #    inside each controller's update and folds into price_update.
             with profiler.phase("admission"):
                 values = compiled.class_values(self._rates)
                 new_populations, used, best = self._admit(values)
@@ -715,7 +657,7 @@ class VectorizedEngine(LRGPEngine):
                 self._update_node_prices(best, used)
             if snapshots:
                 for b, nid in enumerate(compiled.node_ids):
-                    slack[f"node:{nid}"] = self._node_capacity_list[b] - used[b]
+                    slack[f"node:{nid}"] = self._node_controllers[nid].capacity - used[b]
             if telemetry.enabled:
                 admitted = new_populations.tolist()
                 for b, nid in enumerate(compiled.node_ids):
@@ -727,7 +669,7 @@ class VectorizedEngine(LRGPEngine):
                                 for j in compiled.node_class_positions[b].tolist()
                             },
                             used=used[b],
-                            capacity=self._node_capacity_list[b],
+                            capacity=self._node_controllers[nid].capacity,
                             best_ratio=best[b],
                             t_ns=now_ns(),
                         )
@@ -859,7 +801,7 @@ class VectorizedEngine(LRGPEngine):
         order the first unsatisfied class with a finite ratio has the best
         one, and only contended classes can be unsatisfied.  Returns
         ``(populations, used, best_unsatisfied_ratio)``, the last two as
-        per-node lists like the rest of the node-axis state.
+        per-node lists, the form the node controllers take them in.
         """
         compiled = self.compiled
         class_node = compiled.class_node
@@ -956,66 +898,10 @@ class VectorizedEngine(LRGPEngine):
     # -- price updates ----------------------------------------------------------
 
     def _update_node_prices(self, best: list[float], used: list[float]) -> None:
-        """Eq. 12 per node, mirroring :class:`NodePriceController` exactly,
-        including the adaptive-gamma observation (section 4.2)."""
-        prices = self._node_price
-        gammas = self._gamma
-        probes = self._node_probes
-        adaptive = self._adaptive
-        isfinite = math.isfinite
-        for b, capacity in enumerate(self._node_capacity_list):
-            benefit_cost = best[b]
-            used_b = used[b]
-            if not isfinite(benefit_cost) or benefit_cost < 0.0:
-                raise ValueError(
-                    "benefit_cost must be finite and non-negative, "
-                    f"got {benefit_cost}"
-                )
-            if not isfinite(used_b) or used_b < 0.0:
-                raise ValueError(
-                    f"used must be finite and non-negative, got {used_b}"
-                )
-            old_price = prices[b]
-            gamma = gammas[b]
-            if used_b <= capacity:
-                new_price = old_price + gamma * (benefit_cost - old_price)
-                branch = "track"
-            else:
-                new_price = old_price + gamma * (used_b - capacity)
-                branch = "violation"
-            new_price = max(new_price, 0.0)
-            prices[b] = new_price
-            delta = new_price - old_price
-
-            if adaptive:
-                fluctuated = self._has_last[b] and delta * self._last_delta[b] < 0.0
-                if fluctuated:
-                    adjusted = gamma * self._gamma_backoff
-                else:
-                    adjusted = gamma + self._gamma_increment
-                new_gamma = min(max(adjusted, self._gamma_lower), self._gamma_upper)
-                gammas[b] = new_gamma
-                if not is_zero(delta):
-                    self._last_delta[b] = delta
-                    self._has_last[b] = True
-            else:
-                fluctuated = False
-                new_gamma = gamma
-
-            if probes:
-                probe = probes[b]
-                if probe is None:
-                    continue
-                if adaptive and not is_zero(new_gamma - gamma):
-                    probe.gamma_step(gamma, new_gamma, fluctuated)
-                probe.price_update(
-                    old_price,
-                    new_price,
-                    gamma,
-                    branch,
-                    usage=used_b,
-                    capacity=capacity,
-                )
+        """Eq. 12 per node, each through its own :class:`NodePriceController`
+        (which also runs the node's step-size schedule, section 4.2)."""
+        for controller, benefit_cost, used_b in zip(self._node_controllers.values(), best, used):
+            controller.update(benefit_cost=benefit_cost, used=used_b)
 
     def _update_link_prices(self, usage: FloatArray) -> None:
         """Eq. 13 (gradient projection) for every bottleneck link at once,

@@ -1,29 +1,30 @@
-"""Solver engines for the LRGP driver and their registry.
+"""Solver engines for the LRGP driver.
 
 PR 3 splits the former monolithic :class:`~repro.core.lrgp.LRGP` into a thin
-facade (iteration bookkeeping, records, convergence) and a pluggable
-*engine* that owns the per-iteration state — rates, populations, price
-controllers — and executes one full LRGP iteration:
+facade (iteration bookkeeping, records, convergence) and an *engine* that
+owns the per-iteration state — rates, populations, price controllers — and
+executes one full LRGP iteration:
 
 * ``"reference"`` — :class:`ReferenceEngine`, the original dict-based
   composition of the per-agent algorithms, moved here verbatim.  It remains
   the semantic ground truth: the synchronous runtime is bit-identical to it
   and every other engine is validated against its trajectory.
 * ``"vectorized"`` — :class:`repro.core.compiled.VectorizedEngine`, which
-  lowers the problem to COO incidence arrays and runs the whole iteration
-  as batched numpy ops (registered lazily to keep numpy off the import
-  path of the reference driver).
+  lowers the problem to COO incidence arrays and runs the flow, class and
+  link axes as batched numpy ops (imported lazily to keep numpy off the
+  import path of the reference driver).
 
-Engines are looked up by name via :func:`create_engine`; third parties can
-:func:`register_engine` alternatives (a GPU backend, an approximate solver)
-without touching the driver.
+Both engines apply eq. 12 through the same per-node
+:class:`~repro.core.prices.NodePriceController` objects, built and carried
+across rebinds by :func:`bind_node_controllers`.  :func:`create_engine`
+picks one of the two by name.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -62,7 +63,7 @@ class LRGPEngine(ABC):
     utilities, records, convergence, events.
     """
 
-    #: Registry name of the engine (set by concrete classes).
+    #: Name of the engine, as passed to :func:`create_engine`.
     name: str = "abstract"
 
     @property
@@ -107,6 +108,40 @@ class LRGPEngine(ABC):
     def allocation(self) -> Allocation:
         """The current (rates, populations) solution."""
         return Allocation(rates=self.rates(), populations=self.populations())
+
+
+def bind_node_controllers(
+    problem: Problem,
+    config: "LRGPConfig",
+    previous: Mapping[NodeId, NodePriceController],
+) -> dict[NodeId, NodePriceController]:
+    """One eq. 12 controller per consumer node, in ``consumer_nodes()`` order.
+
+    A controller in ``previous`` carries over, price and step-size state
+    included, when its node persists with an unchanged capacity (figure 3);
+    every other node starts from ``config`` with its own clone of
+    ``config.node_gamma``.  With telemetry enabled each controller gets a
+    fresh node probe.
+    """
+    controllers: dict[NodeId, NodePriceController] = {}
+    for node_id in problem.consumer_nodes():
+        capacity = problem.nodes[node_id].capacity
+        existing = previous.get(node_id)
+        if existing is not None and close_enough(existing.capacity, capacity):
+            controllers[node_id] = existing
+        else:
+            controllers[node_id] = NodePriceController(
+                capacity=capacity,
+                gamma_under=config.node_gamma.clone(),
+                initial_price=config.initial_node_price,
+            )
+    telemetry = config.telemetry
+    if telemetry.enabled:
+        for node_id, controller in controllers.items():
+            probe = telemetry.probe("node", node_id)
+            if probe is not None:
+                controller.attach_probe(probe)
+    return controllers
 
 
 class ReferenceEngine(LRGPEngine):
@@ -163,19 +198,7 @@ class ReferenceEngine(LRGPEngine):
         self._populations = {
             class_id: old_populations.get(class_id, 0) for class_id in problem.classes
         }
-        self._node_controllers = {}
-        for node_id in problem.consumer_nodes():
-            existing = old_nodes.get(node_id)
-            if existing is not None and close_enough(
-                existing.capacity, problem.nodes[node_id].capacity
-            ):
-                self._node_controllers[node_id] = existing
-            else:
-                self._node_controllers[node_id] = NodePriceController(
-                    capacity=problem.nodes[node_id].capacity,
-                    gamma_under=self._config.node_gamma.clone(),
-                    initial_price=self._config.initial_node_price,
-                )
+        self._node_controllers = bind_node_controllers(problem, self._config, old_nodes)
         self._link_controllers = {}
         for link_id, link in problem.links.items():
             if math.isinf(link.capacity):
@@ -192,10 +215,6 @@ class ReferenceEngine(LRGPEngine):
 
         telemetry = self._config.telemetry
         if telemetry.enabled:
-            for node_id, node_controller in self._node_controllers.items():
-                probe = telemetry.probe("node", node_id)
-                if probe is not None:
-                    node_controller.attach_probe(probe)
             for link_id, link_controller in self._link_controllers.items():
                 probe = telemetry.probe("link", link_id)
                 if probe is not None:
@@ -270,45 +289,25 @@ class ReferenceEngine(LRGPEngine):
         return StepOutcome(utility=utility, slack=slack)
 
 
-#: Factory signature stored in the registry.
-EngineFactory = Callable[[Problem, "LRGPConfig"], LRGPEngine]
-
-_ENGINES: dict[str, EngineFactory] = {}
-
-
-def register_engine(name: str, factory: EngineFactory) -> None:
-    """Register (or replace) an engine factory under ``name``."""
-    if not name:
-        raise ValueError("engine name must be non-empty")
-    _ENGINES[name] = factory
-
-
 def available_engines() -> tuple[str, ...]:
-    """Registered engine names, sorted."""
-    return tuple(sorted(_ENGINES))
+    """The engine names :func:`create_engine` accepts."""
+    return ("reference", "vectorized")
 
 
 def create_engine(name: str, problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Instantiate the engine registered under ``name``.
+    """Instantiate the engine called ``name``.
 
     Raises ``ValueError`` naming the available engines when ``name`` is
     unknown, so a typo in ``LRGPConfig(engine=...)`` fails loudly at
     construction rather than mid-run.
     """
-    factory = _ENGINES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown engine {name!r}; available: {', '.join(available_engines())}"
-        )
-    return factory(problem, config)
+    if name == "reference":
+        return ReferenceEngine(problem, config)
+    if name == "vectorized":
+        # Imported here so that importing repro.core.lrgp never imports numpy.
+        from repro.core.compiled import VectorizedEngine
 
-
-def _make_vectorized(problem: Problem, config: "LRGPConfig") -> LRGPEngine:
-    """Lazy factory so importing the driver never imports numpy."""
-    from repro.core.compiled import VectorizedEngine
-
-    return VectorizedEngine(problem, config)
-
-
-register_engine("reference", ReferenceEngine)
-register_engine("vectorized", _make_vectorized)
+        return VectorizedEngine(problem, config)
+    raise ValueError(
+        f"unknown engine {name!r}; available: {', '.join(available_engines())}"
+    )

@@ -66,9 +66,10 @@ class LRGPConfig:
     heuristic.  ``link_gamma`` is the gradient-projection step size for link
     prices (only links with finite capacity maintain prices).
 
-    ``engine`` selects the iteration-execution strategy by registry name
-    (:mod:`repro.core.engines`): ``"reference"`` for the dict-based ground
-    truth, ``"vectorized"`` for the numpy-compiled fast path.
+    ``engine`` selects the iteration-execution strategy by name
+    (:func:`repro.core.engines.create_engine`): ``"reference"`` for the
+    dict-based ground truth, ``"vectorized"`` for the numpy-compiled fast
+    path.
 
     ``telemetry`` wires the driver into the observability layer
     (:mod:`repro.obs`): phase spans go to its profiler, counters and

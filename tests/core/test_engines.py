@@ -1,4 +1,4 @@
-"""Engine registry + reference/vectorized trajectory equivalence.
+"""Engine choice + reference/vectorized trajectory equivalence.
 
 The acceptance bar for any alternative engine: on every supported
 workload its utility trajectory must match the reference driver's at
@@ -13,12 +13,10 @@ import pytest
 
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.engines import (
-    _ENGINES,
     LRGPEngine,
     ReferenceEngine,
     available_engines,
     create_engine,
-    register_engine,
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.core.lrgp import LRGP, LRGPConfig
@@ -37,6 +35,20 @@ EQUIVALENCE_WORKLOADS = {
     "link-bottleneck": lambda: link_bottleneck_workload(200000.0),
     "flows-x4": lambda: scale_flows(4),
 }
+
+
+class ExoticGamma(FixedGamma):
+    """A schedule subclass: the vectorized engine must honour any type."""
+
+
+class HardBackoffGamma(AdaptiveGamma):
+    """The paper's heuristic with a harder backoff on fluctuation."""
+
+    def __init__(self) -> None:
+        super().__init__(backoff=0.25)
+
+    def clone(self) -> "HardBackoffGamma":
+        return HardBackoffGamma()
 
 
 def assert_trajectories_match(reference: LRGP, candidate: LRGP) -> None:
@@ -62,18 +74,6 @@ class TestRegistry:
         assert isinstance(engine, ReferenceEngine)
         assert engine.name == "reference"
 
-    def test_register_engine_round_trip(self):
-        class Dummy(ReferenceEngine):
-            name = "dummy"
-
-        register_engine("dummy", Dummy)
-        try:
-            assert "dummy" in available_engines()
-            optimizer = LRGP(micro_workload(), engine="dummy")
-            assert optimizer.engine_name == "dummy"
-        finally:
-            del _ENGINES["dummy"]
-
     def test_config_engine_field_and_override(self):
         problem = micro_workload()
         assert LRGP(problem).engine_name == "reference"
@@ -98,13 +98,27 @@ class TestVectorizedGating:
         with pytest.raises(ValueError, match="admission"):
             LRGP(micro_workload(), config, engine="vectorized")
 
-    def test_unknown_gamma_schedule_rejected(self):
-        class ExoticGamma(FixedGamma):
-            pass
-
-        config = LRGPConfig(node_gamma=ExoticGamma(0.05))
-        with pytest.raises(ValueError, match="schedules only"):
-            LRGP(micro_workload(), config, engine="vectorized")
+    @pytest.mark.parametrize(
+        ("name", "schedule"),
+        [
+            ("micro", ExoticGamma(0.05)),
+            ("base", HardBackoffGamma()),
+            ("link-bottleneck", HardBackoffGamma()),
+        ],
+        ids=["micro", "base", "link-bottleneck"],
+    )
+    def test_gamma_schedule_subclasses_match_reference(self, name, schedule):
+        make = EQUIVALENCE_WORKLOADS[name]
+        config = LRGPConfig(node_gamma=schedule)
+        reference = LRGP(make(), config, engine="reference")
+        vectorized = LRGP(make(), config, engine="vectorized")
+        reference.run(150)
+        vectorized.run(150)
+        assert_trajectories_match(reference, vectorized)
+        assert vectorized.allocation().populations == (
+            reference.allocation().populations
+        )
+        assert vectorized.node_gammas() == reference.node_gammas()
 
 
 class TestTrajectoryEquivalence:
@@ -189,6 +203,9 @@ class TestTrajectoryEquivalence:
         tightened = problem.with_node_capacity("S0", 80000.0)
         reference.set_problem(tightened)
         vectorized.set_problem(tightened)
+        # S0 restarts from the config; every other node keeps its state.
+        assert vectorized.node_prices() == reference.node_prices()
+        assert vectorized.node_gammas() == reference.node_gammas()
         reference.run(80)
         vectorized.run(80)
         assert_trajectories_match(reference, vectorized)

@@ -1,11 +1,12 @@
 """Price updates of the vectorized engine (eq. 12-13) vs the controllers.
 
 The vectorized engine applies eq. 13 as one array expression over the
-link axis and eq. 12 as a loop over plain node-state lists.  Both must
-keep the reference controllers' contract: the same ``ValueError`` text on
-invalid inputs, the same ``price_update`` / ``gamma_step`` telemetry
-stream, and accessors that hand out plain Python ``int`` / ``float``
-(canonical hashes and ``SolveResult`` depend on it).
+link axis, and eq. 12 by calling each consumer node's
+:class:`~repro.core.prices.NodePriceController`.  Both must keep the
+reference controllers' contract: the same ``ValueError`` text on invalid
+inputs, the same ``price_update`` / ``gamma_step`` telemetry stream, and
+accessors that hand out plain Python ``int`` / ``float`` (canonical hashes
+and ``SolveResult`` depend on it).
 """
 
 import math
