@@ -800,7 +800,8 @@ def _render_dashboard_frame(
 
 
 def cmd_trace_causal(args: argparse.Namespace) -> int:
-    from repro.obs import CausalGraph, read_jsonl, render_causal_report
+    from repro.obs import read_jsonl
+    from repro.obs.causal import CausalGraph, render_causal_report
 
     if not Path(args.file).is_file():
         raise SystemExit(f"no such capture: {args.file}")

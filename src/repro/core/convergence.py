@@ -3,7 +3,9 @@
 The paper's criterion (section 4.3): convergence has occurred when the
 amplitude of the oscillations in utility becomes less than 0.1% of the value
 of the utility.  We implement this as a sliding-window test: over the last
-``window`` iterations, ``max - min <= rel_amplitude * mean``.
+``window`` iterations, ``max - min <= rel_amplitude * |mean|``.  The window
+test itself lives in :mod:`repro.utility.stability`, shared with the
+event-stream diagnostics.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from dataclasses import dataclass
 from repro.utility.stability import (
     CONVERGENCE_REL_AMPLITUDE,
     CONVERGENCE_WINDOW,
+    check_criterion,
+    first_stable_index,
+    window_amplitude,
+    window_is_stable,
 )
-from repro.utility.tolerance import is_zero
 
 #: The paper's 0.1% amplitude threshold, shared with the event-stream
 #: diagnostics via :mod:`repro.utility.stability`.
@@ -31,24 +36,13 @@ class ConvergenceCriterion:
     rel_amplitude: float = DEFAULT_REL_AMPLITUDE
 
     def __post_init__(self) -> None:
-        if self.window < 2:
-            raise ValueError(f"window must be at least 2, got {self.window}")
-        if self.rel_amplitude <= 0.0:
-            raise ValueError(
-                f"rel_amplitude must be positive, got {self.rel_amplitude}"
-            )
+        check_criterion(self.window, self.rel_amplitude)
 
     def window_converged(self, values: Sequence[float]) -> bool:
         """Test the criterion on exactly one window of values."""
         if len(values) < self.window:
             return False
-        tail = values[-self.window :]
-        low = min(tail)
-        high = max(tail)
-        mean = sum(tail) / len(tail)
-        if is_zero(mean):
-            return is_zero(high - low)
-        return (high - low) <= self.rel_amplitude * abs(mean)
+        return window_is_stable(values[-self.window :], self.rel_amplitude)
 
     def converged_at(self, values: Sequence[float]) -> int | None:
         """First iteration index (0-based) at which the trailing window
@@ -57,10 +51,7 @@ class ConvergenceCriterion:
         This is the paper's "iterations until convergence": the returned
         index is the iteration at which the system is first observed stable.
         """
-        for end in range(self.window, len(values) + 1):
-            if self.window_converged(values[:end]):
-                return end - 1
-        return None
+        return first_stable_index(values, self.window, self.rel_amplitude)
 
 
 def iterations_until_convergence(
@@ -81,11 +72,8 @@ def iterations_until_convergence(
 
 def oscillation_amplitude(values: Sequence[float], window: int = DEFAULT_WINDOW) -> float:
     """Peak-to-peak amplitude over the trailing window, as a fraction of the
-    window mean.  Used by experiments to report stability."""
+    window mean (``inf`` for a zero-mean window with any spread).  Used by
+    experiments to report stability."""
     if not values:
         raise ValueError("no values")
-    tail = values[-window:]
-    mean = sum(tail) / len(tail)
-    if is_zero(mean):
-        return 0.0
-    return (max(tail) - min(tail)) / abs(mean)
+    return window_amplitude(values[-window:])

@@ -2,10 +2,10 @@
 
 The paper assumes each flow has a given dissemination path (section 5:
 "Our optimization algorithm assumes all the flows have a given path").
-This module builds those paths: it wraps a directed overlay graph
-(:mod:`networkx`) and computes, for each flow, a dissemination *tree* from
-the flow's source to the nodes hosting its consumer classes, recorded as a
-:class:`repro.model.entities.Route`.
+This module builds those paths: it stores a directed overlay as an
+insertion-ordered successor map and computes, for each flow, a
+dissemination *tree* from the flow's source to the nodes hosting its
+consumer classes, recorded as a :class:`repro.model.entities.Route`.
 
 For the paper's evaluation workloads links are never bottlenecks
 (section 4.1), so workload builders may use :func:`star_overlay` with
@@ -16,9 +16,8 @@ materialized so link-price machinery is exercised end to end.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
-
-import networkx as nx
 
 from repro.model.entities import Link, LinkId, Node, NodeId, Route
 
@@ -33,19 +32,19 @@ class Overlay:
     def __init__(self, nodes: Iterable[Node], links: Iterable[Link]) -> None:
         self._nodes = {n.node_id: n for n in nodes}
         self._links = {l.link_id: l for l in links}
-        self._graph = nx.DiGraph()
-        for node in self._nodes.values():
-            self._graph.add_node(node.node_id)
+        # tail -> head -> link id, both levels in insertion order.
+        self._successors: dict[NodeId, dict[NodeId, LinkId]] = {n: {} for n in self._nodes}
         for link in self._links.values():
             if link.tail not in self._nodes or link.head not in self._nodes:
                 raise RoutingError(
                     f"link {link.link_id} references nodes outside the overlay"
                 )
-            if self._graph.has_edge(link.tail, link.head):
+            heads = self._successors[link.tail]
+            if link.head in heads:
                 raise RoutingError(
                     f"parallel link between {link.tail} and {link.head}"
                 )
-            self._graph.add_edge(link.tail, link.head, link_id=link.link_id)
+            heads[link.head] = link.link_id
 
     @property
     def nodes(self) -> Mapping[NodeId, Node]:
@@ -56,18 +55,32 @@ class Overlay:
         return self._links
 
     def shortest_path(self, source: NodeId, target: NodeId) -> list[NodeId]:
-        """Hop-count shortest path, raising :class:`RoutingError` when
-        disconnected."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise RoutingError(f"no path from {source} to {target}") from exc
+        """Hop-count shortest path by FIFO breadth-first search.
+
+        Equal-hop ties go to the path whose successor positions (each
+        hop's index among its tail's links, in insertion order) are
+        lexicographically smallest.  Raises :class:`RoutingError` for an
+        unknown endpoint or an unreachable target.
+        """
+        paths: dict[NodeId, list[NodeId]] = {}
+        if source in self._nodes:
+            paths[source] = [source]
+        frontier = deque(paths)
+        while frontier and target not in paths:
+            tail = frontier.popleft()
+            for head in self._successors[tail]:
+                if head not in paths:
+                    paths[head] = [*paths[tail], head]
+                    frontier.append(head)
+        if target not in paths:
+            raise RoutingError(f"no path from {source} to {target}")
+        return paths[target]
 
     def link_between(self, tail: NodeId, head: NodeId) -> LinkId:
-        data = self._graph.get_edge_data(tail, head)
-        if data is None:
-            raise RoutingError(f"no link from {tail} to {head}")
-        return data["link_id"]
+        try:
+            return self._successors[tail][head]
+        except KeyError:
+            raise RoutingError(f"no link from {tail} to {head}") from None
 
     def dissemination_route(self, source: NodeId, targets: Sequence[NodeId]) -> Route:
         """Build the dissemination tree of a flow as a :class:`Route`.

@@ -13,9 +13,9 @@ runtimes and the event simulator (see docs/observability.md):
 * :class:`ConvergenceDiagnostics` — oscillation counts, constraint
   residuals, utility-gap-to-bound and time-to-tolerance from a captured
   event stream;
-* causal tracing (:mod:`repro.obs.causal`) — span context propagated by
-  the runtimes, plus the :class:`CausalGraph` critical-path / blame
-  analysis over any capture;
+* causal tracing (runtime span context, ``CausalGraph`` critical-path /
+  blame analysis) — import it from :mod:`repro.obs.causal`, which
+  ``import repro`` does not load;
 * deterministic trace replay (:mod:`repro.obs.replay`) — re-materialize
   the deployed state at any event index of a schema-v2 JSONL capture;
 * benchmark trajectory + regression watchdog with phase-level blame
@@ -37,16 +37,6 @@ from repro.obs.bench import (
     compare_snapshots,
     consolidate,
     render_comparison,
-)
-from repro.obs.causal import (
-    ActivationSpan,
-    CausalContext,
-    CausalGraph,
-    CriticalHop,
-    CriticalPath,
-    ResourceBlame,
-    Span,
-    render_causal_report,
 )
 from repro.obs.diagnostics import (
     ConvergenceDiagnostics,
@@ -129,17 +119,12 @@ __all__ = [
     "NULL_TELEMETRY",
     "DEFAULT_VALUE_BUCKETS",
     "TRACE_SCHEMA_VERSION",
-    "ActivationSpan",
     "AdmissionEvent",
     "AgentExchangeEvent",
     "AgentRestartedEvent",
     "BenchComparison",
-    "CausalContext",
-    "CausalGraph",
     "ConvergenceDiagnostics",
     "Counter",
-    "CriticalHop",
-    "CriticalPath",
     "CsvSink",
     "DiagnosticsReport",
     "FaultInjectedEvent",
@@ -167,9 +152,7 @@ __all__ = [
     "ReplayEngine",
     "ReplayError",
     "ReplayState",
-    "ResourceBlame",
     "ResourceDiagnostics",
-    "Span",
     "Telemetry",
     "TraceEvent",
     "TraceEventError",
@@ -185,7 +168,6 @@ __all__ = [
     "open_trace",
     "read_jsonl",
     "register_phase_metrics",
-    "render_causal_report",
     "render_csv",
     "render_diagnostics",
     "render_metrics",

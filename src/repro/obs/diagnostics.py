@@ -4,10 +4,11 @@ Answers the questions the paper's evaluation keeps asking of a run:
 
 * **Did it converge, and how fast?**  Iterations (and wall time) until
   the trailing-window utility amplitude drops below the paper's 0.1%
-  criterion (section 4.3) — the same sliding-window rule as
-  ``repro.core.convergence``, recomputed here from ``iteration`` events
-  so the diagnostics work on *any* emitter (reference driver, sync or
-  async runtime) without importing the optimizer.
+  criterion (section 4.3) — the window test of
+  :mod:`repro.utility.stability` that ``repro.core.convergence`` also
+  applies, run here over ``iteration`` events so the diagnostics work on
+  *any* emitter (reference driver, sync or async runtime) without
+  importing the optimizer.
 * **Is it oscillating?**  Per-resource price oscillation counts — sign
   reversals between consecutive price deltas, the very signal the
   adaptive γ heuristic damps (section 4.2, figure 2).
@@ -32,6 +33,9 @@ from repro.obs.events import IterationEvent, PriceUpdateEvent, TraceEvent
 from repro.utility.stability import (
     CONVERGENCE_REL_AMPLITUDE,
     CONVERGENCE_WINDOW,
+    check_criterion,
+    first_stable_index,
+    window_amplitude,
 )
 
 #: The paper's convergence criterion (section 4.3): amplitude of the
@@ -92,29 +96,6 @@ class DiagnosticsReport:
         ]
 
 
-def _window_amplitude(values: list[float], window: int) -> float | None:
-    """Peak-to-peak amplitude of the trailing window relative to |mean|."""
-    if len(values) < window:
-        return None
-    tail = values[-window:]
-    mean = sum(tail) / len(tail)
-    spread = max(tail) - min(tail)
-    if abs(mean) <= 0.0:
-        return 0.0 if spread <= 0.0 else float("inf")
-    return spread / abs(mean)
-
-
-def _first_stable_index(
-    values: list[float], window: int, rel_amplitude: float
-) -> int | None:
-    """0-based index of the first observation closing a stable window."""
-    for end in range(window, len(values) + 1):
-        amplitude = _window_amplitude(values[:end], window)
-        if amplitude is not None and amplitude <= rel_amplitude:
-            return end - 1
-    return None
-
-
 def count_oscillations(series: Iterable[float]) -> int:
     """Sign reversals between consecutive non-zero deltas of a series.
 
@@ -149,12 +130,7 @@ class ConvergenceDiagnostics:
         rel_amplitude: float = DEFAULT_REL_AMPLITUDE,
         utility_bound: float | None = None,
     ) -> None:
-        if window < 2:
-            raise ValueError(f"window must be at least 2, got {window}")
-        if rel_amplitude <= 0.0:
-            raise ValueError(
-                f"rel_amplitude must be positive, got {rel_amplitude}"
-            )
+        check_criterion(window, rel_amplitude)
         self._window = window
         self._rel_amplitude = rel_amplitude
         self._utility_bound = utility_bound
@@ -177,7 +153,7 @@ class ConvergenceDiagnostics:
                 series.append(event.new_price)
                 last_update[key] = event
 
-        stable_index = _first_stable_index(
+        stable_index = first_stable_index(
             utilities, self._window, self._rel_amplitude
         )
         resources = {
@@ -206,7 +182,11 @@ class ConvergenceDiagnostics:
             ),
             window=self._window,
             rel_amplitude=self._rel_amplitude,
-            trailing_amplitude=_window_amplitude(utilities, self._window),
+            trailing_amplitude=(
+                None
+                if len(utilities) < self._window
+                else window_amplitude(utilities[-self._window :])
+            ),
             utility_bound=self._utility_bound,
             utility_gap=gap,
             relative_gap=relative_gap,

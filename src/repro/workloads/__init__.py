@@ -5,6 +5,8 @@
   :data:`TABLE2_WORKLOADS` — the scalability study (section 4.3).
 * :mod:`repro.workloads.generator` — seeded random workloads.
 * :mod:`repro.workloads.scenarios` — the motivating scenarios of section 1.1.
+* :mod:`repro.workloads.dynamics` — workload and fault churn; import the
+  submodule itself, since it loads the runtime that ``import repro`` skips.
 """
 
 from repro.workloads.base import (
@@ -23,13 +25,6 @@ from repro.workloads.scaling import (
     TABLE2_WORKLOADS,
     scale_consumer_nodes,
     scale_flows,
-)
-from repro.workloads.dynamics import (
-    ChaosScenario,
-    DynamicScenario,
-    ScheduledChange,
-    churn_scenario,
-    fault_churn_scenario,
 )
 from repro.workloads.tree import tree_workload
 from repro.workloads.scenarios import (
@@ -59,13 +54,8 @@ __all__ = [
     "parse_workload_spec",
     "register_workload",
     "workload_from_spec",
-    "ChaosScenario",
-    "DynamicScenario",
     "GeneratorConfig",
     "Scenario",
-    "ScheduledChange",
-    "churn_scenario",
-    "fault_churn_scenario",
     "tree_workload",
     "fat_tree_workload",
     "leaf_spine_workload",

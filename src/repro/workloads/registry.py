@@ -39,7 +39,6 @@ from repro.model.problem import Problem
 from repro.workloads.base import base_workload
 from repro.workloads.bottleneck import link_bottleneck_workload
 from repro.workloads.datacenter import fat_tree_workload, leaf_spine_workload
-from repro.workloads.dynamics import fault_churn_scenario
 from repro.workloads.generator import GeneratorConfig, generate_workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.scaling import scale_consumer_nodes, scale_flows
@@ -264,6 +263,8 @@ def _fault_churn(
     The scenario's fault plan is reconstructed from the same parameters
     by the chaos runner; the registry only hands out problems.
     """
+    from repro.workloads.dynamics import fault_churn_scenario
+
     return fault_churn_scenario(
         seed=seed, horizon=horizon, crash_rate=crash_rate, warmup=warmup
     ).problem

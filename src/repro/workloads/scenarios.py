@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.events.pubsub import PayloadFactory
-from repro.events.transforms import FilterTransform, ProjectTransform, Transform
 from repro.model.costs import (
     GRYPHON_CONSUMER_COST,
     GRYPHON_FLOW_NODE_COST,
@@ -31,6 +30,10 @@ from repro.model.costs import (
 from repro.model.entities import ConsumerClass, Flow, Link, Node, Route
 from repro.model.problem import Problem, build_problem
 from repro.utility.functions import ExponentialSaturationUtility, LogUtility
+
+if TYPE_CHECKING:
+    from repro.events.pubsub import PayloadFactory
+    from repro.events.transforms import Transform
 
 
 @dataclass(frozen=True)
@@ -57,6 +60,8 @@ def trade_data_scenario(
     consumers are numerous, low-rank, elastic (log utility), and receive
     messages with the gold-only fields removed.
     """
+    from repro.events.transforms import ProjectTransform
+
     nodes = [
         Node("hub", capacity=math.inf),
         Node("brokerage", capacity=node_capacity),
@@ -144,6 +149,8 @@ def latest_price_scenario(
     cost ``G`` models.  Rate can be lowered (updates skipped, latency grows)
     or consumers denied, or both.
     """
+    from repro.events.transforms import FilterTransform
+
     if consumer_nodes < 1:
         raise ValueError("need at least one consumer node")
     node_names = [f"pop{index}" for index in range(consumer_nodes)]

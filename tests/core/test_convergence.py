@@ -1,5 +1,7 @@
 """Unit tests for the convergence criterion (section 4.3)."""
 
+import math
+
 import pytest
 
 from repro.core.convergence import (
@@ -75,6 +77,9 @@ class TestOscillationAmplitude:
 
     def test_relative_to_mean(self):
         assert oscillation_amplitude([90.0, 110.0], window=2) == pytest.approx(0.2)
+
+    def test_zero_mean_window_with_spread_is_infinite(self):
+        assert oscillation_amplitude([-1.0, 1.0] * 5) == math.inf
 
     def test_requires_values(self):
         with pytest.raises(ValueError):

@@ -1,16 +1,19 @@
 """Regression tests: the convergence criterion has exactly one definition.
 
-The paper's 0.1%-amplitude window rule is implemented twice — by the
-optimizer-side detector (:mod:`repro.core.convergence`) and by the
-event-stream diagnostics (:mod:`repro.obs.diagnostics`).  Their
-parameters used to be duplicated literals; both now alias
-:mod:`repro.utility.stability`, and the driver and the offline detectors
-must agree on the resulting iteration counts.
+The paper's 0.1%-amplitude window rule is applied by the optimizer-side
+detector (:mod:`repro.core.convergence`) and by the event-stream
+diagnostics (:mod:`repro.obs.diagnostics`).  Both take its parameters
+and its window test from :mod:`repro.utility.stability`, and the driver
+and the offline detectors must agree on the resulting iteration counts.
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.convergence import iterations_until_convergence
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.obs import ConvergenceDiagnostics, MemorySink, Telemetry
+from repro.obs.events import IterationEvent
 from repro.utility.stability import (
     CONVERGENCE_REL_AMPLITUDE,
     CONVERGENCE_WINDOW,
@@ -52,3 +55,29 @@ def test_diagnostics_agree_with_optimizer_detector():
         optimizer.utilities
     )
     assert report.iterations_to_tolerance == optimizer.convergence_iteration()
+
+
+#: Small symmetric values make zero-mean windows common.
+_TRAJECTORY_VALUES = st.one_of(
+    st.sampled_from([-1.0, 0.0, 1.0]),
+    st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    utilities=st.lists(_TRAJECTORY_VALUES, max_size=40),
+    window=st.integers(min_value=2, max_value=6),
+    rel_amplitude=st.sampled_from([CONVERGENCE_REL_AMPLITUDE, 0.05]),
+)
+def test_diagnostics_agree_with_optimizer_detector_on_any_trajectory(
+    utilities, window, rel_amplitude
+):
+    events = [
+        IterationEvent(iteration=i, utility=u, t_ns=i)
+        for i, u in enumerate(utilities)
+    ]
+    report = ConvergenceDiagnostics(window, rel_amplitude).analyze(events)
+    assert report.iterations_to_tolerance == iterations_until_convergence(
+        utilities, window, rel_amplitude
+    )

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.model.entities import Link, Node
 from repro.model.topology import (
@@ -180,3 +182,69 @@ class TestFactories:
     def test_line_overlay_needs_two_nodes(self):
         with pytest.raises(ValueError):
             line_overlay(["only"], node_capacity=1.0)
+
+
+@st.composite
+def _routing_cases(draw):
+    """A random overlay plus endpoints: 2-7 nodes, a random subset of the
+    possible links inserted in random order, and endpoints that may name
+    a node outside the overlay."""
+    ids = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(2, 7)))]))
+    pairs = [(tail, head) for tail in ids for head in ids if tail != head]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True))
+    endpoints = st.sampled_from([*ids, "ghost"])
+    return ids, links, draw(endpoints), draw(endpoints)
+
+
+def _hop_distances(ids, links, source):
+    """Unit-weight Bellman-Ford distances from ``source``."""
+    dist = dict.fromkeys(ids, math.inf)
+    dist[source] = 0
+    for _ in range(len(ids) - 1):
+        for tail, head in links:
+            dist[head] = min(dist[head], dist[tail] + 1)
+    return dist
+
+
+def _fifo_path(links, dist, source, target):
+    """The hop-minimal path whose sequence of successor positions (each
+    hop's index among its tail's links, in insertion order) is
+    lexicographically smallest, by exhaustive enumeration."""
+    successors = {}
+    for tail, head in links:
+        successors.setdefault(tail, []).append(head)
+
+    def walks(node):
+        if node == target:
+            yield (), [node]
+            return
+        for position, head in enumerate(successors.get(node, [])):
+            if dist[head] == dist[node] + 1:
+                for rest, path in walks(head):
+                    yield (position, *rest), [node, *path]
+
+    return min(walks(source), key=lambda walk: walk[0])[1]
+
+
+class TestRoutingOracle:
+    """``shortest_path`` against an independent oracle on random overlays."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_routing_cases())
+    def test_shortest_path_matches_oracle(self, case):
+        ids, links, source, target = case
+        overlay = Overlay(
+            [Node(node_id) for node_id in ids],
+            [Link(f"{tail}->{head}", tail=tail, head=head) for tail, head in links],
+        )
+        dist = _hop_distances(ids, links, source) if source in ids else {}
+        if math.isinf(dist.get(target, math.inf)):
+            with pytest.raises(RoutingError):
+                overlay.shortest_path(source, target)
+            return
+        path = overlay.shortest_path(source, target)
+        assert path[0] == source and path[-1] == target
+        for tail, head in zip(path, path[1:]):
+            assert overlay.link_between(tail, head) == f"{tail}->{head}"
+        assert len(path) - 1 == dist[target]
+        assert path == _fifo_path(links, dist, source, target)

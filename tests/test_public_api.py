@@ -159,8 +159,14 @@ class TestSubpackageImports:
 
 
 class TestImportFootprint:
-    def test_import_repro_does_not_load_scipy(self):
-        # A fresh interpreter: this test process may already hold scipy.
+    """``import repro`` loads only what building and solving a problem need."""
+
+    @pytest.mark.parametrize(
+        "module",
+        ["scipy", "networkx", "repro.runtime", "repro.events", "repro.obs.causal"],
+    )
+    def test_import_repro_does_not_load(self, module):
+        # A fresh interpreter: this test process may already hold the module.
         import os
         import subprocess
         import sys
@@ -172,8 +178,11 @@ class TestImportFootprint:
             [
                 sys.executable,
                 "-c",
-                "import sys, repro; assert 'scipy' not in sys.modules, "
-                "sorted(m for m in sys.modules if m.startswith('scipy'))[:5]",
+                "import sys, repro; prefix = sys.argv[1]; "
+                "loaded = sorted(m for m in sys.modules "
+                "if m == prefix or m.startswith(prefix + '.')); "
+                "assert not loaded, loaded[:5]",
+                module,
             ],
             env=env, capture_output=True, text=True, timeout=60,
         )
