@@ -31,6 +31,15 @@ plus the iteration's own glue), per step in ns; the parts sum exactly to
 the measured iteration wall.  It is recorded with a profiler-only
 telemetry bundle, so no price probes distort it.
 
+The ``rebind`` section times ``LRGP.set_problem`` on the 256-flow churn
+fabric and the 1k-flow leg, alternating between the full problem and a
+one-flow-less ``without_flow`` variant (the reconfiguration the ``churn``
+benchmark workload runs).  Each call's wall splits into the ``lower``
+profiler phase (:func:`~repro.core.compiled.compile_problem`) and
+``carry``, the rest of the rebind (index maps over the old and new id
+vocabularies, node controllers, per-bind precomputation); the two sum
+exactly to the measured wall.
+
 Every run archives ``results/BENCH_engines.json`` with the raw numbers.
 The guards are marked ``perf`` so they can be selected alone with
 ``-m perf``.
@@ -220,6 +229,71 @@ def phase_split() -> dict[str, object]:
     }
 
 
+#: Rebind legs: (name, factory, timed ``set_problem`` calls).
+REBIND_WORKLOADS: tuple[tuple[str, Callable[[], Problem], int], ...] = (
+    (
+        "leafspine:flows=256,leaves=64,spines=32",
+        lambda: leaf_spine_workload(spines=32, leaves=64, flows=256),
+        40,
+    ),
+    (
+        SCALE_WORKLOAD,
+        lambda: leaf_spine_workload(
+            spines=100, leaves=100, flows=1024, leaves_per_flow=4
+        ),
+        10,
+    ),
+)
+
+
+def rebind_row(name: str, problem: Problem, timed: int) -> dict[str, object]:
+    """Mean per-``set_problem`` wall, split into ``lower`` and ``carry``.
+
+    The optimizer is warm (a few steps, then one rebind each way, untimed)
+    and alternates between ``problem`` and ``problem`` without its middle
+    flow; a profiler-only bundle records the ``lower`` phase.
+    """
+    variant = problem.without_flow(sorted(problem.flows)[len(problem.flows) // 2])
+    profiler = PhaseProfiler()
+    telemetry = Telemetry(
+        registry=NULL_REGISTRY, sink=NullSink(), enabled=False, profiler=profiler
+    )
+    optimizer = LRGP(
+        problem, LRGPConfig.adaptive(telemetry=telemetry), engine="vectorized"
+    )
+    for _ in range(SCALE_WARMUP_ITERATIONS):
+        optimizer.step()
+    optimizer.set_problem(variant)
+    optimizer.set_problem(problem)
+    profiler.reset()
+    wall_ns = 0
+    for k in range(timed):
+        start = time.perf_counter_ns()
+        optimizer.set_problem(variant if k % 2 == 0 else problem)
+        wall_ns += time.perf_counter_ns() - start
+    lower = profiler.report().find("lower")
+    assert lower is not None and lower.calls == timed
+    per_call = {"lower": lower.wall_ns / timed, "wall": wall_ns / timed}
+    per_call["carry"] = per_call["wall"] - per_call["lower"]
+    return {
+        "name": name,
+        "flows": len(problem.flows),
+        "links": len(problem.bottleneck_links()),
+        "classes": len(problem.classes),
+        "timed_rebinds": timed,
+        "per_set_problem_ns": per_call,
+        "share": {
+            part: per_call[part] / per_call["wall"] for part in ("lower", "carry")
+        },
+    }
+
+
+@pytest.fixture(scope="module")
+def rebind_rows() -> list[dict[str, object]]:
+    """``set_problem`` cost on the churn fabric and the 1k-flow leg."""
+    return [rebind_row(name, factory(), timed) for name, factory, timed in REBIND_WORKLOADS]
+
+
 @pytest.fixture(scope="module")
 def scale_rows() -> list[dict[str, float | int | str]]:
     """Measure the vectorized engine along the scale ladder.
@@ -248,11 +322,11 @@ def scale_rows() -> list[dict[str, float | int | str]]:
 
 
 def test_benchmark_engines_archives_results(
-    engine_rows, dispatch_rows, scale_rows, phase_split
+    engine_rows, dispatch_rows, scale_rows, phase_split, rebind_rows
 ):
     crossover = measured_crossover(dispatch_rows)
     payload = {
-        "version": 4,
+        "version": 5,
         "timed_iterations": TIMED_ITERATIONS,
         "warmup_iterations": WARMUP_ITERATIONS,
         "guard_workload": GUARD_WORKLOAD,
@@ -282,6 +356,16 @@ def test_benchmark_engines_archives_results(
             "source_workloads": [row["name"] for row in scale_rows],
             "workloads": scale_rows,
         },
+        "rebind": {
+            "note": (
+                "mean wall of one LRGP.set_problem alternating between the "
+                "full problem and a one-flow-less without_flow variant; "
+                "lower is the compile_problem profiler phase, carry the rest "
+                "of the rebind, and the two sum to wall"
+            ),
+            "source_workloads": [row["name"] for row in rebind_rows],
+            "workloads": rebind_rows,
+        },
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_engines.json").write_text(
@@ -310,6 +394,12 @@ def test_benchmark_engines_archives_results(
         "1k-flow step phases (ns): "
         + ", ".join(f"{name} {per_step[name]:.0f}" for name in per_step)
     )
+    for row in rebind_rows:
+        split = row["per_set_problem_ns"]
+        print(
+            f"{row['name']:>42} set_problem: wall {split['wall']:.0f}ns = "
+            f"lower {split['lower']:.0f}ns + carry {split['carry']:.0f}ns"
+        )
     for row in (*engine_rows, *dispatch_rows):
         assert row["reference_ns"] > 0.0
         assert row["vectorized_ns"] > 0.0

@@ -35,6 +35,24 @@ them.  Memory and per-iteration cost scale with the number of incidence
 1k+ flows over 10k+ links stay cheap, and at paper scale the scatter-adds
 tie the matrix products a dense layout would use.
 
+Lowering builds each column once, as a list gathered from the problem's
+accessors and converted to an array in one call.  Incidence rows come out
+flow-ascending without a sort: ``build_problem`` stores each link's and
+node's flows sorted by id, and flow positions follow id order.  The rest
+is array work over those columns: each class finds its node/flow cell by
+one ``np.searchsorted`` over the sorted cell keys, flow families come from
+one stable argsort of ``class_flow`` plus ``np.logical_and.reduceat``
+(exact equality against each flow's first class), and the per-node class
+positions from one stable argsort of ``class_node``.  A rebind with
+``preserve_state`` carries rates, populations and link prices through
+index maps from the old id vocabularies to the new ones (the identity
+when a vocabulary is unchanged, as the link axis is under ``without_flow``).
+As with a reference :class:`~repro.core.prices.LinkPriceController`, a
+link price keeps the capacity it started under, runs eq. 13 against it,
+and survives a rebind only while the new capacity is
+:func:`~repro.utility.tolerance.close_enough` to it: one array comparison
+over all links.
+
 The engine is validated against the reference trajectory within
 :data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL` at every iteration
 (``tests/core/test_engines.py``); the speedup and the incidence footprint
@@ -49,8 +67,10 @@ reference driver instantiates.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -68,7 +88,7 @@ from repro.obs.events import AdmissionEvent, now_ns
 from repro.utility.base import UtilityFunction
 from repro.utility.calculus import solve_rate
 from repro.utility.functions import LogUtility, PowerUtility, ScaledUtility
-from repro.utility.tolerance import close_enough
+from repro.utility.tolerance import close_enough_elementwise
 
 if TYPE_CHECKING:
     from repro.core.lrgp import LRGPConfig
@@ -76,6 +96,7 @@ if TYPE_CHECKING:
 
 FloatArray = NDArray[np.float64]
 IntArray = NDArray[np.int64]
+_ArrayT = TypeVar("_ArrayT", FloatArray, IntArray)
 
 #: Utility-family codes used by the batched rate solver.
 FAMILY_LOG = 0
@@ -93,12 +114,14 @@ def _classify(
     that is not (a rescaling of) the log or power family is generic and
     handled by the fallback column.
     """
-    if isinstance(utility, ScaledUtility):
-        return _classify(utility.base, factor * utility.factor)
+    # The closed-form families go first: an exact type match returns from
+    # isinstance at once, a miss walks the ABC machinery.
     if isinstance(utility, LogUtility):
         return FAMILY_LOG, factor * utility.scale, utility.offset, 0.0
     if isinstance(utility, PowerUtility):
         return FAMILY_POW, factor * utility.scale, 0.0, utility.exponent
+    if isinstance(utility, ScaledUtility):
+        return _classify(utility.base, factor * utility.factor)
     return FAMILY_GENERIC, 0.0, 0.0, 0.0
 
 
@@ -200,46 +223,6 @@ class CompiledProblem:
         """Bytes dense incidence matrices would occupy (the perf bench's
         memory-ratio floor compares against it)."""
         return 8 * (self.n_links + self.n_nodes) * self.n_flows
-
-    # -- dict <-> vector converters ---------------------------------------
-
-    def rates_vector(self, rates: dict[FlowId, float] | None = None) -> FloatArray:
-        """Per-flow rate vector; missing entries default to ``rate_min``."""
-        if rates is None:
-            return self.rate_min.copy()
-        return np.array(
-            [
-                float(rates.get(fid, self.problem.flows[fid].rate_min))
-                for fid in self.flow_ids
-            ],
-            dtype=np.float64,
-        )
-
-    def populations_vector(
-        self, populations: dict[ClassId, int] | None = None
-    ) -> IntArray:
-        """Per-class population vector; missing entries default to 0."""
-        if populations is None:
-            return np.zeros(self.n_classes, dtype=np.int64)
-        return np.array(
-            [int(populations.get(cid, 0)) for cid in self.class_ids], dtype=np.int64
-        )
-
-    def node_prices_vector(self, prices: dict[NodeId, float]) -> FloatArray:
-        return np.array(
-            [float(prices.get(nid, 0.0)) for nid in self.node_ids], dtype=np.float64
-        )
-
-    def link_prices_vector(self, prices: dict[LinkId, float]) -> FloatArray:
-        return np.array(
-            [float(prices.get(lid, 0.0)) for lid in self.link_ids], dtype=np.float64
-        )
-
-    def rates_dict(self, rates: FloatArray) -> dict[FlowId, float]:
-        return {fid: float(rates[i]) for i, fid in enumerate(self.flow_ids)}
-
-    def populations_dict(self, populations: IntArray) -> dict[ClassId, int]:
-        return {cid: int(populations[j]) for j, cid in enumerate(self.class_ids)}
 
     # -- lowered accounting --------------------------------------------------
 
@@ -347,107 +330,157 @@ class CompiledProblem:
         return float(np.dot(populations.astype(np.float64), values))
 
 
+def _incidence(
+    row_ids: tuple[str, ...],
+    flows_of: Callable[[str], tuple[FlowId, ...]],
+    cost_of: Callable[[str, FlowId], float],
+    flow_pos: Mapping[FlowId, int],
+) -> tuple[IntArray, IntArray, FloatArray]:
+    """COO columns ``(row, flow, cost)`` of one incidence axis, row-major.
+
+    ``flows_of`` is the problem's ``flows_on_link`` / ``flows_at_node`` and
+    ``cost_of`` the matching :class:`~repro.model.costs.CostModel` accessor:
+    :func:`~repro.model.problem.build_problem` stores each row's flows
+    sorted by id and flow positions follow id order, so every row comes out
+    flow-ascending.  Zero-cost pairs stay in: the *pattern* is what classes
+    scatter into.
+    """
+    rows = [flows_of(row_id) for row_id in row_ids]
+    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(flows) for flows in rows])
+    flow = np.array([flow_pos[f] for flows in rows for f in flows], dtype=np.int64)
+    cost = np.array(
+        [cost_of(row_id, f) for row_id, flows in zip(row_ids, rows) for f in flows],
+        dtype=np.float64,
+    )
+    return row, flow, cost
+
+
+def _flow_families(
+    n_flows: int,
+    class_flow: IntArray,
+    class_family: IntArray,
+    class_offset: FloatArray,
+    class_exponent: FloatArray,
+) -> tuple[IntArray, FloatArray, FloatArray]:
+    """Per-flow ``(family, offset, exponent)`` of the batched rate solver.
+
+    One stable argsort of ``class_flow`` lays each flow's classes out as a
+    contiguous run led by its lowest class position.  A flow keeps its
+    leader's closed form when every member equals the leader exactly in
+    family, log offset and power exponent (the reference solver's grouping
+    test: same-offset log terms and same-exponent power terms collapse);
+    any other mix is generic.  A flow with no classes is marked log: its
+    rate solver only ever hits boundary cases, and log keeps it off the
+    fallback column.
+    """
+    flow_family = np.full(n_flows, FAMILY_LOG, dtype=np.int64)
+    flow_offset = np.zeros(n_flows, dtype=np.float64)
+    flow_exponent = np.zeros(n_flows, dtype=np.float64)
+    if not class_flow.size:
+        return flow_family, flow_offset, flow_exponent
+    by_flow = np.argsort(class_flow, kind="stable")
+    members = np.bincount(class_flow, minlength=n_flows)
+    present = np.flatnonzero(members)
+    starts = (np.cumsum(members) - members)[present]
+    leader = by_flow[starts]
+    led_by = np.repeat(leader, members[present])
+    uniform = np.logical_and.reduceat(
+        (class_family[by_flow] == class_family[led_by])
+        & (class_offset[by_flow] == class_offset[led_by])
+        & (class_exponent[by_flow] == class_exponent[led_by]),
+        starts,
+    )
+    family = np.where(uniform, class_family[leader], FAMILY_GENERIC)
+    flow_family[present] = family
+    flow_offset[present] = np.where(family == FAMILY_LOG, class_offset[leader], 0.0)
+    flow_exponent[present] = np.where(
+        family == FAMILY_POW, class_exponent[leader], 0.0
+    )
+    return flow_family, flow_offset, flow_exponent
+
+
 def compile_problem(problem: Problem) -> CompiledProblem:
     """Lower ``problem`` into a :class:`CompiledProblem`.
 
     Pure indexing and coefficient gathering — no optimizer state; memory
     here is ``O(nonzeros + classes)``.  The result is immutable and
-    reusable across engines bound to the same problem.
+    reusable across engines bound to the same problem.  Every column is
+    gathered once from the problem's accessors and converted to an array
+    once; the class cells, flow families and node positions are array
+    work over those columns.
     """
+    costs = problem.costs
     flow_ids = tuple(sorted(problem.flows))
     node_ids = problem.consumer_nodes()
     link_ids = problem.bottleneck_links()
     class_ids = tuple(sorted(problem.classes))
     flow_pos = {fid: i for i, fid in enumerate(flow_ids)}
     node_pos = {nid: b for b, nid in enumerate(node_ids)}
+    n_flows = len(flow_ids)
 
-    n_classes = len(class_ids)
-
-    rate_min = np.array([problem.flows[f].rate_min for f in flow_ids], dtype=np.float64)
-    rate_max = np.array([problem.flows[f].rate_max for f in flow_ids], dtype=np.float64)
+    flows = [problem.flows[fid] for fid in flow_ids]
+    rate_min = np.array([flow.rate_min for flow in flows], dtype=np.float64)
+    rate_max = np.array([flow.rate_max for flow in flows], dtype=np.float64)
     node_capacity = np.array(
-        [problem.nodes[n].capacity for n in node_ids], dtype=np.float64
+        [problem.nodes[nid].capacity for nid in node_ids], dtype=np.float64
     )
     link_capacity = np.array(
-        [problem.links[l].capacity for l in link_ids], dtype=np.float64
+        [problem.links[lid].capacity for lid in link_ids], dtype=np.float64
+    )
+    ln_link, ln_flow, ln_cost = _incidence(
+        link_ids, problem.flows_on_link, costs.link, flow_pos
+    )
+    fn_node, fn_flow, fn_cost = _incidence(
+        node_ids, problem.flows_at_node, costs.flow_node, flow_pos
     )
 
-    # Sparse incidence entries in row-major (link- / node-major, then flow)
-    # order: one entry per pair in the problem's incidence maps, zero-cost
-    # pairs included — the *pattern* is what classes scatter into.
-    ln_link_list: list[int] = []
-    ln_flow_list: list[int] = []
-    ln_cost_list: list[float] = []
-    for l, lid in enumerate(link_ids):
-        for i in sorted(flow_pos[fid] for fid in problem.flows_on_link(lid)):
-            ln_link_list.append(l)
-            ln_flow_list.append(i)
-            ln_cost_list.append(problem.costs.link(lid, flow_ids[i]))
-    fn_node_list: list[int] = []
-    fn_flow_list: list[int] = []
-    fn_cost_list: list[float] = []
-    cell_index: dict[tuple[int, int], int] = {}
-    for b, nid in enumerate(node_ids):
-        for i in sorted(flow_pos[fid] for fid in problem.flows_at_node(nid)):
-            cell_index[(b, i)] = len(fn_node_list)
-            fn_node_list.append(b)
-            fn_flow_list.append(i)
-            fn_cost_list.append(problem.costs.flow_node(nid, flow_ids[i]))
+    classes = [problem.classes[cid] for cid in class_ids]
+    class_flow = np.array([flow_pos[cls.flow_id] for cls in classes], dtype=np.int64)
+    class_node = np.array([node_pos[cls.node] for cls in classes], dtype=np.int64)
+    max_consumers = np.array([cls.max_consumers for cls in classes], dtype=np.int64)
+    consumer_cost = np.array(
+        [costs.consumer(cls.node, cid) for cid, cls in zip(class_ids, classes)],
+        dtype=np.float64,
+    )
+    utilities = tuple(cls.utility for cls in classes)
+    # (family, scale, offset, exponent) per class, one row each, streamed
+    # into one flat array (no list of tuples held at once).
+    classified = np.fromiter(
+        chain.from_iterable(map(_classify, utilities)),
+        dtype=np.float64,
+        count=4 * len(utilities),
+    ).reshape(-1, 4)
+    class_family = classified[:, 0].astype(np.int64)
+    class_scale = np.ascontiguousarray(classified[:, 1])
+    class_offset = np.ascontiguousarray(classified[:, 2])
+    class_exponent = np.ascontiguousarray(classified[:, 3])
 
-    class_flow = np.empty(n_classes, dtype=np.int64)
-    class_node = np.empty(n_classes, dtype=np.int64)
-    class_fn_index = np.empty(n_classes, dtype=np.int64)
-    max_consumers = np.empty(n_classes, dtype=np.int64)
-    consumer_cost = np.empty(n_classes, dtype=np.float64)
-    class_family = np.empty(n_classes, dtype=np.int64)
-    class_scale = np.zeros(n_classes, dtype=np.float64)
-    class_offset = np.zeros(n_classes, dtype=np.float64)
-    class_exponent = np.zeros(n_classes, dtype=np.float64)
-    utilities: list[UtilityFunction] = []
-    for j, cid in enumerate(class_ids):
-        cls = problem.classes[cid]
-        class_flow[j] = flow_pos[cls.flow_id]
-        class_node[j] = node_pos[cls.node]
-        # build_problem guarantees the class node is on the flow's route,
-        # so the (node, flow) cell exists in the stored pattern.
-        class_fn_index[j] = cell_index[(int(class_node[j]), int(class_flow[j]))]
-        max_consumers[j] = cls.max_consumers
-        consumer_cost[j] = problem.costs.consumer(cls.node, cid)
-        family, scale, offset, exponent = _classify(cls.utility)
-        class_family[j] = family
-        class_scale[j] = scale
-        class_offset[j] = offset
-        class_exponent[j] = exponent
-        utilities.append(cls.utility)
+    # Each class's (node, flow) cell: the fn_* rows are node-major and
+    # flow-ascending, so their keys node * n_flows + flow are sorted and
+    # one binary search places every class.  build_problem guarantees the
+    # cell (the class node is on its flow's route); a hand-built problem
+    # may not, hence the check.
+    cell_keys = fn_node * n_flows + fn_flow
+    class_keys = class_node * n_flows + class_flow
+    class_fn_index = np.searchsorted(cell_keys, class_keys).astype(np.int64)
+    found = np.append(cell_keys, -1)[class_fn_index]
+    if not np.array_equal(found, class_keys):
+        j = int(np.argmax(found != class_keys))
+        raise ValueError(
+            f"class {class_ids[j]!r} attaches to node {classes[j].node!r}, which "
+            f"the route of flow {classes[j].flow_id!r} does not reach"
+        )
 
-    n_flows = len(flow_ids)
-    flow_family = np.full(n_flows, FAMILY_GENERIC, dtype=np.int64)
-    flow_offset = np.zeros(n_flows, dtype=np.float64)
-    flow_exponent = np.zeros(n_flows, dtype=np.float64)
-    for i in range(n_flows):
-        members = np.nonzero(class_flow == i)[0]
-        if members.size == 0:
-            # No consumers ever: the rate solver only hits boundary cases,
-            # so the family is irrelevant; log keeps it off the fallback.
-            flow_family[i] = FAMILY_LOG
-            continue
-        families = class_family[members]
-        if np.all(families == FAMILY_LOG):
-            offsets = class_offset[members]
-            # Exact equality on purpose: it mirrors the reference solver's
-            # grouping test (same-offset log terms collapse in closed form).
-            if np.all(offsets == offsets[0]):
-                flow_family[i] = FAMILY_LOG
-                flow_offset[i] = offsets[0]
-        elif np.all(families == FAMILY_POW):
-            exponents = class_exponent[members]
-            if np.all(exponents == exponents[0]):
-                flow_family[i] = FAMILY_POW
-                flow_exponent[i] = exponents[0]
+    flow_family, flow_offset, flow_exponent = _flow_families(
+        n_flows, class_flow, class_family, class_offset, class_exponent
+    )
 
+    # Classes per consumer node, in class order: one stable argsort of
+    # class_node, split at the per-node counts.
+    by_node = np.argsort(class_node, kind="stable").astype(np.int64)
+    bounds = np.cumsum(np.bincount(class_node, minlength=len(node_ids))).tolist()
     node_class_positions = tuple(
-        np.nonzero(class_node == b)[0].astype(np.int64)
-        for b in range(len(node_ids))
+        by_node[start:stop] for start, stop in zip([0, *bounds], bounds)
     )
 
     return CompiledProblem(
@@ -460,18 +493,18 @@ def compile_problem(problem: Problem) -> CompiledProblem:
         rate_max=rate_max,
         node_capacity=node_capacity,
         link_capacity=link_capacity,
-        ln_link=np.array(ln_link_list, dtype=np.int64),
-        ln_flow=np.array(ln_flow_list, dtype=np.int64),
-        ln_cost=np.array(ln_cost_list, dtype=np.float64),
-        fn_node=np.array(fn_node_list, dtype=np.int64),
-        fn_flow=np.array(fn_flow_list, dtype=np.int64),
-        fn_cost=np.array(fn_cost_list, dtype=np.float64),
+        ln_link=ln_link,
+        ln_flow=ln_flow,
+        ln_cost=ln_cost,
+        fn_node=fn_node,
+        fn_flow=fn_flow,
+        fn_cost=fn_cost,
         consumer_cost=consumer_cost,
         class_flow=class_flow,
         class_node=class_node,
         class_fn_index=class_fn_index,
         max_consumers=max_consumers,
-        utilities=tuple(utilities),
+        utilities=utilities,
         class_family=class_family,
         class_scale=class_scale,
         class_offset=class_offset,
@@ -486,6 +519,30 @@ def compile_problem(problem: Problem) -> CompiledProblem:
             np.int64
         ),
     )
+
+
+def _index_map(old_ids: tuple[str, ...], new_ids: tuple[str, ...]) -> IntArray:
+    """Position of every id of ``new_ids`` in ``old_ids``, ``-1`` if absent.
+
+    The identity when the vocabulary is unchanged (the link axis under
+    ``without_flow``): one tuple comparison instead of a dict over every
+    old id, about 2 ms of a rebind at 10,100 links.  Otherwise one dict
+    over the old ids, queried at C speed.
+    """
+    if old_ids == new_ids:
+        return np.arange(len(new_ids), dtype=np.int64)
+    position = dict(zip(old_ids, range(len(old_ids))))
+    return np.fromiter(
+        map(position.get, new_ids, repeat(-1)), dtype=np.int64, count=len(new_ids)
+    )
+
+
+def _carry(old: _ArrayT, index: IntArray, fresh: _ArrayT) -> _ArrayT:
+    """``fresh`` with every entry whose id persists (``index >= 0``) taken
+    from ``old`` at that id's old position."""
+    kept = index >= 0
+    fresh[kept] = old[index[kept]]
+    return fresh
 
 
 class VectorizedEngine(LRGPEngine):
@@ -532,12 +589,12 @@ class VectorizedEngine(LRGPEngine):
             raise RuntimeError("engine is not bound to a problem")
         return self._compiled
 
-    def rates(self) -> dict[FlowId, float]:
-        return self.compiled.rates_dict(self._rates)
-
-    # Populations and link prices live in numpy arrays; ``tolist()`` hands
-    # out plain Python ints and floats, which canonical hashes and
+    # Rates, populations and link prices live in numpy arrays; ``tolist()``
+    # hands out plain Python floats and ints, which canonical hashes and
     # ``SolveResult`` depend on.
+
+    def rates(self) -> dict[FlowId, float]:
+        return dict(zip(self.compiled.flow_ids, self._rates.tolist()))
 
     def populations(self) -> dict[ClassId, int]:
         return dict(zip(self.compiled.class_ids, self._populations.tolist()))
@@ -554,46 +611,52 @@ class VectorizedEngine(LRGPEngine):
     # -- binding ------------------------------------------------------------
 
     def bind(self, problem: Problem, preserve_state: bool) -> None:
-        old_rates: dict[FlowId, float] = {}
-        old_populations: dict[ClassId, int] = {}
-        old_nodes: dict[NodeId, NodePriceController] = {}
-        old_links: dict[LinkId, tuple[float, float]] = {}
-        if preserve_state and self._compiled is not None:
-            previous = self.compiled
-            old_rates = self.rates()
-            old_populations = self.populations()
-            old_nodes = self._node_controllers
-            old_links = dict(
-                zip(
-                    previous.link_ids,
-                    zip(previous.link_capacity.tolist(), self._link_price.tolist()),
-                )
-            )
-
+        config = self._config
+        previous = self._compiled if preserve_state else None
         # Lowering is the one compile-shaped cost of a (re)bind, so it gets
         # its own profiler phase; the reference engine has no counterpart
         # (its pinned phase tree is untouched).
-        with self._config.telemetry.profiler.phase("lower"):
+        with config.telemetry.profiler.phase("lower"):
             compiled = compile_problem(problem)
         self._compiled = compiled
-        self._rates = compiled.rates_vector(old_rates or None)
-        self._populations: IntArray = compiled.populations_vector(
-            old_populations or None
+        rates = compiled.rate_min.copy()
+        populations = np.zeros(compiled.n_classes, dtype=np.int64)
+        link_price = np.full(
+            compiled.n_links, float(config.initial_link_price), dtype=np.float64
         )
-
-        config = self._config
+        link_capacity = compiled.link_capacity.copy()
+        old_nodes: dict[NodeId, NodePriceController] = {}
+        if previous is not None:
+            # State follows each id from the old vocabulary to the new one.
+            # Like a reference LinkPriceController, a link's price keeps the
+            # capacity it started under and survives a rebind only while
+            # the new capacity is close enough to that one (figure 3).
+            rates = _carry(
+                self._rates, _index_map(previous.flow_ids, compiled.flow_ids), rates
+            )
+            populations = _carry(
+                self._populations,
+                _index_map(previous.class_ids, compiled.class_ids),
+                populations,
+            )
+            links = _index_map(previous.link_ids, compiled.link_ids)
+            kept = links >= 0
+            kept[kept] = close_enough_elementwise(
+                self._link_capacity[links[kept]], link_capacity[kept]
+            )
+            links[~kept] = -1
+            link_price = _carry(self._link_price, links, link_price)
+            link_capacity = _carry(self._link_capacity, links, link_capacity)
+            old_nodes = self._node_controllers
+        self._rates = rates
+        self._populations: IntArray = populations
+        self._link_price = link_price
+        #: The capacity each link price started under: eq. 13 runs against
+        #: it, as each reference controller runs against its own.
+        self._link_capacity = link_capacity
         # The helper builds in consumer_nodes() order, which node_ids
-        # follows, so the controllers line up with the node axis; link
-        # prices (10k+ at datacenter scale) are an array.
+        # follows, so the controllers line up with the node axis.
         self._node_controllers = bind_node_controllers(problem, config, old_nodes)
-        self._link_price = np.full(compiled.n_links, float(config.initial_link_price))
-        if old_links:
-            for l, (lid, capacity) in enumerate(
-                zip(compiled.link_ids, compiled.link_capacity.tolist())
-            ):
-                entry = old_links.get(lid)
-                if entry is not None and close_enough(entry[0], capacity):
-                    self._link_price[l] = entry[1]
 
         # Static per-bind precomputation: which utility families are present
         # (to skip dead closed-form columns) and the power-family exponent
@@ -684,7 +747,7 @@ class VectorizedEngine(LRGPEngine):
                         slack.update(
                             zip(
                                 [f"link:{lid}" for lid in compiled.link_ids],
-                                (compiled.link_capacity - usage).tolist(),
+                                (self._link_capacity - usage).tolist(),
                             )
                         )
 
@@ -912,7 +975,7 @@ class VectorizedEngine(LRGPEngine):
             valid = (usage >= 0.0) & (usage < math.inf)
             bad = float(usage[int(np.argmin(valid))])
             raise ValueError(f"usage must be finite and non-negative, got {bad}")
-        capacity = self.compiled.link_capacity
+        capacity = self._link_capacity
         gamma = self._link_gamma
         old_price = self._link_price
         new_price = old_price + gamma * (usage - capacity)

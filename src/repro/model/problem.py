@@ -59,6 +59,8 @@ class Problem:
     _classes_at_node: Mapping[NodeId, tuple[ClassId, ...]]
     _flows_at_node: Mapping[NodeId, tuple[FlowId, ...]]
     _flows_on_link: Mapping[LinkId, tuple[FlowId, ...]]
+    _consumer_nodes: tuple[NodeId, ...]
+    _bottleneck_links: tuple[LinkId, ...]
 
     # -- the paper's index maps -------------------------------------------
 
@@ -100,17 +102,11 @@ class Problem:
 
     def consumer_nodes(self) -> tuple[NodeId, ...]:
         """Nodes hosting at least one consumer class, in sorted order."""
-        return tuple(sorted(self._classes_at_node))
+        return self._consumer_nodes
 
     def bottleneck_links(self) -> tuple[LinkId, ...]:
         """Links with finite capacity, in sorted order."""
-        return tuple(
-            sorted(
-                link_id
-                for link_id, link in self.links.items()
-                if not math.isinf(link.capacity)
-            )
-        )
+        return self._bottleneck_links
 
     def without_flow(self, flow_id: FlowId) -> "Problem":
         """Return a copy with ``flow_id`` (and its classes/route) removed.
@@ -302,4 +298,12 @@ def build_problem(
         _classes_at_node={n: tuple(sorted(v)) for n, v in classes_at_node.items()},
         _flows_at_node={n: tuple(sorted(v)) for n, v in flows_at_node.items()},
         _flows_on_link={l: tuple(sorted(v)) for l, v in flows_on_link.items()},
+        _consumer_nodes=tuple(sorted(classes_at_node)),
+        _bottleneck_links=tuple(
+            sorted(
+                link_id
+                for link_id, link in link_map.items()
+                if not math.isinf(link.capacity)
+            )
+        ),
     )

@@ -19,6 +19,7 @@ budgets are scattered from have both a full and a partly empty pattern.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,9 +49,11 @@ def assert_admission_matches(
     """
     engine = VectorizedEngine(problem, LRGPConfig())
     compiled = engine.compiled
-    engine._rates = compiled.rates_vector(rates)
+    engine._rates = np.array(
+        [rates[fid] for fid in compiled.flow_ids], dtype=np.float64
+    )
     populations, used, best = engine._admit(compiled.class_values(engine._rates))
-    admitted = compiled.populations_dict(populations)
+    admitted = dict(zip(compiled.class_ids, populations.tolist()))
     for b, node_id in enumerate(compiled.node_ids):
         expected = allocate_consumers(problem, node_id, rates)
         for class_id, count in expected.populations.items():

@@ -114,33 +114,6 @@ class TestVocabularies:
             assert (c.fn_node[cell], c.fn_flow[cell]) == (c.class_node[j], c.class_flow[j])
 
 
-class TestConverters:
-    def test_rates_round_trip(self, compiled_base):
-        c = compiled_base
-        rates = {fid: 10.0 + i for i, fid in enumerate(c.flow_ids)}
-        assert c.rates_dict(c.rates_vector(rates)) == rates
-
-    def test_rates_default_to_minimum(self, compiled_base):
-        c = compiled_base
-        assert np.array_equal(c.rates_vector(), c.rate_min)
-        assert np.array_equal(c.rates_vector({}), c.rate_min)
-
-    def test_populations_round_trip(self, compiled_base):
-        c = compiled_base
-        populations = {cid: j % 5 for j, cid in enumerate(c.class_ids)}
-        assert c.populations_dict(c.populations_vector(populations)) == (
-            populations
-        )
-
-    def test_price_vectors_follow_vocabulary_order(self, compiled_base):
-        c = compiled_base
-        prices = {nid: float(b) for b, nid in enumerate(c.node_ids)}
-        assert c.node_prices_vector(prices).tolist() == [
-            float(b) for b in range(c.n_nodes)
-        ]
-        assert c.link_prices_vector({}).tolist() == [0.0] * c.n_links
-
-
 class TestFamilyClassification:
     def test_base_workload_is_all_log(self, compiled_base):
         c = compiled_base
@@ -182,8 +155,8 @@ class TestLoweredAccounting:
         populations = {cid: int(c.max_consumers[j] // 2)
                        for j, cid in enumerate(c.class_ids)}
         allocation = Allocation(rates=dict(rates), populations=populations)
-        r = c.rates_vector(rates)
-        n = c.populations_vector(populations)
+        r = np.array([rates[fid] for fid in c.flow_ids], dtype=np.float64)
+        n = np.array([populations[cid] for cid in c.class_ids])
 
         link = c.link_usages(r)
         for l, lid in enumerate(c.link_ids):
@@ -197,9 +170,7 @@ class TestLoweredAccounting:
 
     def test_class_values_match_utilities(self, compiled_base):
         c = compiled_base
-        r = c.rates_vector(
-            {fid: 12.0 + i for i, fid in enumerate(c.flow_ids)}
-        )
+        r = 12.0 + np.arange(c.n_flows, dtype=np.float64)
         values = c.class_values(r)
         for j in range(c.n_classes):
             rate = float(r[c.class_flow[j]])

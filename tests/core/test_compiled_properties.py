@@ -74,15 +74,15 @@ def test_lowered_accounting_round_trips(seed, shape, data):
     rates, populations, node_prices, link_prices = _draw_state(data, problem)
     allocation = Allocation(rates=dict(rates), populations=dict(populations))
 
-    r = compiled.rates_vector(rates)
-    n = compiled.populations_vector(populations)
+    r = np.array([rates[fid] for fid in compiled.flow_ids], dtype=np.float64)
+    n = np.array([populations[cid] for cid in compiled.class_ids])
     nf = n.astype(np.float64)
 
     # eq. 8-9: per-flow aggregate prices.
     prices = compiled.flow_prices(
         nf,
-        compiled.node_prices_vector(node_prices),
-        compiled.link_prices_vector(link_prices),
+        np.array([node_prices[nid] for nid in compiled.node_ids], dtype=np.float64),
+        np.array([link_prices[lid] for lid in compiled.link_ids], dtype=np.float64),
     )
     for i, fid in enumerate(compiled.flow_ids):
         expected = aggregate_flow_price(
@@ -114,17 +114,4 @@ def test_lowered_accounting_round_trips(seed, shape, data):
         total_utility(problem, allocation),
         rtol=1e-9,
         atol=1e-9,
-    )
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
-def test_dict_vector_converters_round_trip(seed, data):
-    problem = generate_workload(seed=seed)
-    compiled = compile_problem(problem)
-    rates, populations, _, _ = _draw_state(data, problem)
-    assert compiled.rates_dict(compiled.rates_vector(rates)) == rates
-    assert (
-        compiled.populations_dict(compiled.populations_vector(populations))
-        == populations
     )

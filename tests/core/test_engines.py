@@ -7,9 +7,12 @@ workload its utility trajectory must match the reference driver's at
 allocation must agree (populations exactly — they are integers).
 """
 
+import dataclasses
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.engines import (
@@ -20,10 +23,13 @@ from repro.core.engines import (
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.core.lrgp import LRGP, LRGPConfig
+from repro.model.entities import Node
+from repro.model.problem import Problem, build_problem
 from repro.utility.functions import PowerUtility
-from repro.utility.tolerance import ENGINE_EQUIVALENCE_RTOL
+from repro.utility.tolerance import ENGINE_EQUIVALENCE_RTOL, close_enough
 from repro.workloads.base import base_workload
 from repro.workloads.bottleneck import link_bottleneck_workload
+from repro.workloads.datacenter import leaf_spine_workload
 from repro.workloads.micro import micro_workload
 from repro.workloads.scaling import scale_flows
 from tests.core.test_compiled import replace_class_utility
@@ -208,6 +214,176 @@ class TestTrajectoryEquivalence:
         assert vectorized.node_gammas() == reference.node_gammas()
         reference.run(80)
         vectorized.run(80)
+        assert_trajectories_match(reference, vectorized)
+
+
+#: A small leaf-spine fabric whose links bind: the ``leaf_capacity`` /
+#: ``link_capacity`` recipe of the 256-flow binding fabric scaled to 8
+#: flows, so 6 of its 10 link prices are positive after the warm start.
+BINDING_FABRIC = leaf_spine_workload(
+    spines=2, leaves=4, flows=8, leaf_capacity=4.5e6, link_capacity=150.0
+)
+REBIND_WARM_START = 30
+#: Factors a rebind step applies to a current capacity: unchanged, inside
+#: ``close_enough``'s relative tolerance (1e-9) but drifting out of it when
+#: applied twice, just outside it, and real changes.
+CAPACITY_FACTORS = (1.0, 1.0 + 6e-10, 1.0 + 2e-9, 0.8, 1.25)
+
+
+def fabric_variant(
+    dropped: set[str], node_capacity: dict[str, float], link_capacity: dict[str, float]
+) -> Problem:
+    """``BINDING_FABRIC`` without the ``dropped`` flows and with the given
+    node and link capacities."""
+    full = BINDING_FABRIC
+    problem = build_problem(
+        nodes=[
+            Node(node.node_id, capacity=node_capacity.get(node.node_id, node.capacity))
+            for node in full.nodes.values()
+        ],
+        links=[
+            dataclasses.replace(
+                link, capacity=link_capacity.get(link.link_id, link.capacity)
+            )
+            for link in full.links.values()
+        ],
+        flows=full.flows.values(),
+        classes=full.classes.values(),
+        routes=full.routes,
+        costs=full.costs,
+    )
+    for flow_id in sorted(dropped):
+        problem = problem.without_flow(flow_id)
+    return problem
+
+
+def engine_state(optimizer: LRGP) -> dict[str, dict[str, float]]:
+    return {
+        "rates": optimizer.allocation().rates,
+        "populations": optimizer.allocation().populations,
+        "node_prices": optimizer.node_prices(),
+        "node_gammas": optimizer.node_gammas(),
+        "link_prices": optimizer.link_prices(),
+    }
+
+
+def assert_states_match(reference: LRGP, vectorized: LRGP) -> None:
+    expected, actual = engine_state(reference), engine_state(vectorized)
+    assert actual["populations"] == expected["populations"]
+    for name in ("rates", "node_prices", "node_gammas", "link_prices"):
+        assert set(actual[name]) == set(expected[name]), name
+        for key, value in expected[name].items():
+            assert actual[name][key] == pytest.approx(
+                value, rel=ENGINE_EQUIVALENCE_RTOL, abs=ENGINE_EQUIVALENCE_RTOL
+            ), (name, key)
+
+
+def assert_survivors_carried(
+    before: dict[str, dict[str, float]],
+    after: dict[str, dict[str, float]],
+    new: Problem,
+    born: dict[str, float],
+) -> None:
+    """Ids present on both sides of a rebind keep their state bit for bit;
+    the rest start fresh.  A node or link price survives only while the new
+    capacity is close enough to the one the price started under, ``born``
+    (updated here for the prices that restart)."""
+    for flow_id, rate in after["rates"].items():
+        expected = before["rates"].get(flow_id, new.flows[flow_id].rate_min)
+        assert rate == expected, flow_id
+    for class_id, population in after["populations"].items():
+        assert population == before["populations"].get(class_id, 0), class_id
+    for kind, entities in (("node", new.nodes), ("link", new.links)):
+        for entity_id, price in after[f"{kind}_prices"].items():
+            capacity = entities[entity_id].capacity
+            kept = entity_id in before[f"{kind}_prices"] and close_enough(
+                born[entity_id], capacity
+            )
+            if kept:
+                assert price == before[f"{kind}_prices"][entity_id], (kind, entity_id)
+            else:
+                assert price == 0.0, (kind, entity_id)
+                born[entity_id] = capacity
+            if kind == "node" and kept:
+                assert after["node_gammas"][entity_id] == (
+                    before["node_gammas"][entity_id]
+                )
+
+
+class TestRebindDifferential:
+    """``set_problem`` sequences on a fabric whose links bind: both engines
+    from one warm start, compared after every step."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_set_problem_sequences_match_reference(self, data):
+        full = BINDING_FABRIC
+        flows, nodes = sorted(full.flows), list(full.consumer_nodes())
+        links = list(full.bottleneck_links())
+        reference = LRGP(full, engine="reference")
+        vectorized = LRGP(full, engine="vectorized")
+        reference.run(REBIND_WARM_START)
+        vectorized.run(REBIND_WARM_START)
+        dropped: set[str] = set()
+        node_capacity = {node: full.nodes[node].capacity for node in nodes}
+        link_capacity = {link: full.links[link].capacity for link in links}
+        born = {**node_capacity, **link_capacity}
+        for _ in range(data.draw(st.integers(1, 5), label="rebinds")):
+            action = data.draw(
+                st.sampled_from(("drop", "restore", "swap", "node", "link")),
+                label="action",
+            )
+            if action in ("restore", "swap") and dropped:
+                # A swap keeps the vocabulary sizes but changes their ids.
+                dropped.discard(data.draw(st.sampled_from(sorted(dropped)), label="restore"))
+            if action in ("drop", "swap") and len(dropped) < len(flows) - 1:
+                dropped.add(data.draw(st.sampled_from(flows), label="drop"))
+            elif action == "node":
+                node = data.draw(st.sampled_from(nodes), label="node")
+                factor = data.draw(st.sampled_from(CAPACITY_FACTORS), label="factor")
+                node_capacity[node] *= factor
+            elif action == "link":
+                link = data.draw(st.sampled_from(links), label="link")
+                factor = data.draw(st.sampled_from(CAPACITY_FACTORS), label="factor")
+                link_capacity[link] *= factor
+            problem = fabric_variant(dropped, node_capacity, link_capacity)
+            before = engine_state(vectorized)
+            reference.set_problem(problem)
+            vectorized.set_problem(problem)
+            assert_survivors_carried(before, engine_state(vectorized), problem, born)
+            assert_states_match(reference, vectorized)
+            for _ in range(data.draw(st.integers(1, 6), label="steps")):
+                reference.step()
+                vectorized.step()
+                assert_states_match(reference, vectorized)
+
+    def test_capacity_drift_restarts_link_price_like_the_reference(self):
+        """Two changes of a binding link's capacity, each inside
+        ``close_enough``'s tolerance of the last but together outside it:
+        the price restarts, because it is compared with the capacity it
+        started under, as a reference controller's is."""
+        reference = LRGP(BINDING_FABRIC, engine="reference")
+        vectorized = LRGP(BINDING_FABRIC, engine="vectorized")
+        reference.run(REBIND_WARM_START)
+        vectorized.run(REBIND_WARM_START)
+        prices = reference.link_prices()
+        link = max(prices, key=prices.get)
+        capacity = BINDING_FABRIC.links[link].capacity
+        born = {
+            **{node: BINDING_FABRIC.nodes[node].capacity for node in reference.node_prices()},
+            **{lid: BINDING_FABRIC.links[lid].capacity for lid in prices},
+        }
+        for factor in (1.0 + 6e-10, 1.0 + 1.2e-9):
+            problem = fabric_variant(set(), {}, {link: capacity * factor})
+            before = engine_state(vectorized)
+            reference.set_problem(problem)
+            vectorized.set_problem(problem)
+            assert_survivors_carried(before, engine_state(vectorized), problem, born)
+            assert_states_match(reference, vectorized)
+        assert prices[link] > 0.0
+        assert vectorized.link_prices()[link] == 0.0
+        reference.run(20)
+        vectorized.run(20)
         assert_trajectories_match(reference, vectorized)
 
 
