@@ -1,8 +1,8 @@
 """Canonical JSON and content hashing shared by configs, results and caches.
 
-Everything that must be *addressable by content* — sweep cells, solver
-configurations, cached results — funnels through the same two helpers so
-that one definition of "canonical" exists in the repository:
+Everything that must be *addressable by content* — sweep cells, cached
+results, ledger records — funnels through the same two helpers so that one
+definition of "canonical" exists in the repository:
 
 * :func:`canonical_json` — ``json.dumps`` with sorted keys, minimal
   separators and ``allow_nan=False``.  Sorting makes the bytes
@@ -12,8 +12,8 @@ that one definition of "canonical" exists in the repository:
   poison for a content address).
 * :func:`content_hash` — the SHA-256 hex digest of that canonical form.
 
-The sweep cache key (:mod:`repro.sweep.cache`), ``LRGPConfig.config_hash``
-and ``SolveResult.config_hash`` are all thin wrappers over these.
+The sweep cache key (``RunConfig.config_hash``), the cache entries
+(:mod:`repro.sweep.cache`) and the run ledger all go through these.
 """
 
 from __future__ import annotations

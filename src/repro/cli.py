@@ -105,7 +105,7 @@ if TYPE_CHECKING:
     from repro.obs import ProfileReport, Telemetry, TraceEvent
     from repro.sweep import ResultCache, SweepSpec
 
-from repro.core.engines import available_engines
+from repro.core.engines import DEFAULT_ENGINE, available_engines
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.experiments.extensions import (
     extension_capacity_churn,
@@ -356,12 +356,8 @@ def _telemetry_run(
             problem, telemetry=telemetry, trace_id=f"async-{args.workload}"
         ).run_until(float(args.iterations))
     else:
-        config = LRGPConfig(
-            record_snapshots=args.snapshots,
-            telemetry=telemetry,
-            engine=args.engine if args.engine == "vectorized" else "reference",
-        )
-        LRGP(problem, config).run(args.iterations)
+        config = LRGPConfig(record_snapshots=args.snapshots, telemetry=telemetry)
+        LRGP(problem, config, engine=args.engine).run(args.iterations)
     return telemetry
 
 
@@ -1429,7 +1425,7 @@ def build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--engine", choices=available_engines(), default=None,
         help="LRGP iteration engine (lrgp/two_stage methods only; "
-        "default: reference)",
+        f"default: {DEFAULT_ENGINE})",
     )
     optimize.add_argument(
         "--json", action="store_true",

@@ -29,6 +29,7 @@ from repro.core.enactment import (
     consumer_churn,
 )
 from repro.core.engines import (
+    DEFAULT_ENGINE,
     LRGPEngine,
     ReferenceEngine,
     StepOutcome,
@@ -60,6 +61,7 @@ from repro.core.rate_allocation import (
 )
 
 __all__ = [
+    "DEFAULT_ENGINE",
     "LRGP",
     "LRGPEngine",
     "ReferenceEngine",

@@ -81,7 +81,7 @@ from repro.core.consumer_allocation import (
 )
 from repro.core.engines import LRGPEngine, StepOutcome, bind_node_controllers
 from repro.core.gamma import FixedGamma
-from repro.core.prices import NodePriceController, _validate_price
+from repro.core.prices import NodePriceController
 from repro.model.entities import ClassId, FlowId, LinkId, NodeId
 from repro.model.problem import Problem
 from repro.obs.events import AdmissionEvent, now_ns
@@ -564,11 +564,8 @@ class VectorizedEngine(LRGPEngine):
                 "the vectorized engine implements the paper's greedy admission "
                 "only; use engine='reference' for custom admission strategies"
             )
-        # Reuse the schedule's validation for the link step size and the
-        # controllers' for the initial link price; the node controllers
-        # validate the initial node price themselves.
+        # Reuse the schedule's validation for the link step size.
         self._link_gamma = FixedGamma(config.link_gamma).gamma
-        _validate_price(config.initial_link_price)
         self._config = config
         self._compiled: CompiledProblem | None = None
         #: One eq. 12 controller per consumer node, in ``node_ids`` order.
@@ -621,9 +618,7 @@ class VectorizedEngine(LRGPEngine):
         self._compiled = compiled
         rates = compiled.rate_min.copy()
         populations = np.zeros(compiled.n_classes, dtype=np.int64)
-        link_price = np.full(
-            compiled.n_links, float(config.initial_link_price), dtype=np.float64
-        )
+        link_price = np.zeros(compiled.n_links, dtype=np.float64)
         link_capacity = compiled.link_capacity.copy()
         old_nodes: dict[NodeId, NodePriceController] = {}
         if previous is not None:

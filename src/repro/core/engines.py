@@ -17,7 +17,8 @@ executes one full LRGP iteration:
 Both engines apply eq. 12 through the same per-node
 :class:`~repro.core.prices.NodePriceController` objects, built and carried
 across rebinds by :func:`bind_node_controllers`.  :func:`create_engine`
-picks one of the two by name.
+picks one of the two by name; :data:`DEFAULT_ENGINE` names the one every
+driver, two-stage run and ``solve()`` uses unless told otherwise.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ from repro.model.problem import Problem
 from repro.obs.events import AdmissionEvent, now_ns
 from repro.utility.tolerance import close_enough
 
-if TYPE_CHECKING:  # circular: lrgp imports this module for its engine field
+if TYPE_CHECKING:  # circular: lrgp imports this module to build its engine
     from repro.core.lrgp import LRGPConfig
+
+#: The engine an unspecified ``engine=`` runs.
+DEFAULT_ENGINE = "reference"
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,9 @@ class LRGPEngine(ABC):
 
         With ``preserve_state`` the engine keeps prices/populations/rates of
         entities that persist across the change (same id, capacity unchanged
-        within tolerance) and initializes the rest from the config, exactly
-        like the original driver's reconfiguration path (figure 3).
+        within tolerance) and starts the rest fresh (price 0, minimum rate,
+        nobody admitted), exactly like the original driver's
+        reconfiguration path (figure 3).
         """
 
     @abstractmethod
@@ -103,7 +108,7 @@ class LRGPEngine(ABC):
 
     @abstractmethod
     def node_gammas(self) -> dict[NodeId, float]:
-        """The step size each node's next tracking update would apply."""
+        """The step size each node's next price update would apply."""
 
     def allocation(self) -> Allocation:
         """The current (rates, populations) solution."""
@@ -119,7 +124,7 @@ def bind_node_controllers(
 
     A controller in ``previous`` carries over, price and step-size state
     included, when its node persists with an unchanged capacity (figure 3);
-    every other node starts from ``config`` with its own clone of
+    every other node starts at price 0 with its own clone of
     ``config.node_gamma``.  With telemetry enabled each controller gets a
     fresh node probe.
     """
@@ -131,9 +136,7 @@ def bind_node_controllers(
             controllers[node_id] = existing
         else:
             controllers[node_id] = NodePriceController(
-                capacity=capacity,
-                gamma_under=config.node_gamma.clone(),
-                initial_price=config.initial_node_price,
+                capacity=capacity, gamma=config.node_gamma.clone()
             )
     telemetry = config.telemetry
     if telemetry.enabled:
@@ -208,9 +211,7 @@ class ReferenceEngine(LRGPEngine):
                 self._link_controllers[link_id] = existing
             else:
                 self._link_controllers[link_id] = LinkPriceController(
-                    capacity=link.capacity,
-                    gamma=self._config.link_gamma,
-                    initial_price=self._config.initial_link_price,
+                    capacity=link.capacity, gamma=self._config.link_gamma
                 )
 
         telemetry = self._config.telemetry
@@ -298,8 +299,8 @@ def create_engine(name: str, problem: Problem, config: "LRGPConfig") -> LRGPEngi
     """Instantiate the engine called ``name``.
 
     Raises ``ValueError`` naming the available engines when ``name`` is
-    unknown, so a typo in ``LRGPConfig(engine=...)`` fails loudly at
-    construction rather than mid-run.
+    unknown, so a typo in ``engine=`` fails loudly at construction rather
+    than mid-run.
     """
     if name == "reference":
         return ReferenceEngine(problem, config)

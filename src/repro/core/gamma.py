@@ -10,7 +10,8 @@ oscillation amplitude, and proposes an adaptive heuristic:
 
 A *fluctuation* is a sign reversal between consecutive price deltas: the
 price moved up and then down (or vice versa).  Every node carries its own
-schedule instance, observing only its own price trajectory.
+schedule instance, observing only its own price trajectory: both branches
+of eq. 12 step with it and feed it their price deltas.
 """
 
 from __future__ import annotations
@@ -68,17 +69,6 @@ class GammaSchedule(ABC):
         """Inverse of :meth:`state_dict`; no-op for stateless schedules."""
         del state
 
-    def to_spec(self) -> dict[str, float | str]:
-        """Canonical *configuration* of this schedule (not its state).
-
-        Feeds ``LRGPConfig.to_dict`` / the sweep cache key: two schedules
-        with equal specs run identical trajectories from a fresh start.
-        Subclasses with tuning knobs override; the fallback identifies
-        the schedule by its qualified class name only.
-        """
-        cls = type(self)
-        return {"kind": f"{cls.__module__}.{cls.__qualname__}"}
-
 
 @dataclass
 class FixedGamma(GammaSchedule):
@@ -102,9 +92,6 @@ class FixedGamma(GammaSchedule):
 
     def clone(self) -> "FixedGamma":
         return FixedGamma(self.gamma)
-
-    def to_spec(self) -> dict[str, float | str]:
-        return {"kind": "fixed", "gamma": self.gamma}
 
 
 class AdaptiveGamma(GammaSchedule):
@@ -138,31 +125,6 @@ class AdaptiveGamma(GammaSchedule):
         self._upper = upper
         self._last_delta: float | None = None
 
-    @property
-    def initial(self) -> float:
-        """The (clamped) starting step size handed to fresh clones."""
-        return self._initial
-
-    @property
-    def increment(self) -> float:
-        """Additive growth applied while the price is quiet."""
-        return self._increment
-
-    @property
-    def backoff(self) -> float:
-        """Multiplicative shrink applied on a detected fluctuation."""
-        return self._backoff
-
-    @property
-    def lower(self) -> float:
-        """Lower clamp of the step size."""
-        return self._lower
-
-    @property
-    def upper(self) -> float:
-        """Upper clamp of the step size."""
-        return self._upper
-
     def value(self) -> float:
         return self._gamma
 
@@ -187,16 +149,6 @@ class AdaptiveGamma(GammaSchedule):
         if self._last_delta is not None:
             state["last_delta"] = self._last_delta
         return state
-
-    def to_spec(self) -> dict[str, float | str]:
-        return {
-            "kind": "adaptive",
-            "initial": self._initial,
-            "increment": self._increment,
-            "backoff": self._backoff,
-            "lower": self._lower,
-            "upper": self._upper,
-        }
 
     def load_state(self, state: dict[str, float]) -> None:
         gamma = state["gamma"]

@@ -10,14 +10,16 @@ One LRGP iteration is:
    update** (eq. 13) for every link, closing the loop for the next
    iteration.
 
-Since PR 3 the driver is a facade over a pluggable *engine*
+The driver is a facade over a pluggable *engine*
 (:mod:`repro.core.engines`): the engine owns the iteration state and
 executes the three phases, the facade owns iteration counting, the utility
 trajectory, records/events, and convergence.  ``engine="reference"`` (the
-default) is the original dict-based composition of the per-agent
-algorithms; ``engine="vectorized"`` runs the same iteration as numpy array
-ops over a lowered problem (:mod:`repro.core.compiled`) with a trajectory
-equivalent within :data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL`.
+default, :data:`~repro.core.engines.DEFAULT_ENGINE`) is the original
+dict-based composition of the per-agent algorithms; ``engine="vectorized"``
+runs the same iteration as numpy array ops over a lowered problem
+(:mod:`repro.core.compiled`) with a trajectory equivalent within
+:data:`repro.utility.tolerance.ENGINE_EQUIVALENCE_RTOL`.  Every price
+starts at 0.
 
 The message-passing deployment of the very same steps lives in
 :mod:`repro.runtime`; in synchronous mode it produces bit-identical
@@ -33,7 +35,6 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.canonical import content_hash
 from repro.core.consumer_allocation import NodeAllocation, allocate_consumers
 from repro.core.convergence import (
     DEFAULT_REL_AMPLITUDE,
@@ -41,7 +42,7 @@ from repro.core.convergence import (
     ConvergenceCriterion,
     iterations_until_convergence,
 )
-from repro.core.engines import LRGPEngine, create_engine
+from repro.core.engines import DEFAULT_ENGINE, LRGPEngine, create_engine
 from repro.core.gamma import AdaptiveGamma, FixedGamma, GammaSchedule
 from repro.model.allocation import Allocation
 from repro.model.entities import ClassId, FlowId, LinkId, NodeId
@@ -62,14 +63,13 @@ class LRGPConfig:
     """Tuning knobs for the driver.
 
     ``node_gamma`` is a prototype schedule, cloned per node so each node
-    adapts independently (section 4.2).  The default is the paper's adaptive
-    heuristic.  ``link_gamma`` is the gradient-projection step size for link
-    prices (only links with finite capacity maintain prices).
+    adapts independently (section 4.2); both branches of eq. 12 step with
+    it.  The default is the paper's adaptive heuristic.  ``link_gamma`` is
+    the gradient-projection step size for link prices (only links with
+    finite capacity maintain prices).  Node and link prices start at 0.
 
-    ``engine`` selects the iteration-execution strategy by name
-    (:func:`repro.core.engines.create_engine`): ``"reference"`` for the
-    dict-based ground truth, ``"vectorized"`` for the numpy-compiled fast
-    path.
+    The engine is chosen by the ``engine=`` argument of :class:`LRGP`
+    (default :data:`repro.core.engines.DEFAULT_ENGINE`), not here.
 
     ``telemetry`` wires the driver into the observability layer
     (:mod:`repro.obs`): phase spans go to its profiler, counters and
@@ -80,12 +80,9 @@ class LRGPConfig:
 
     node_gamma: GammaSchedule = field(default_factory=AdaptiveGamma)
     link_gamma: float = 1e-4
-    initial_node_price: float = 0.0
-    initial_link_price: float = 0.0
     record_snapshots: bool = False
     admission: AdmissionStrategy = allocate_consumers
     telemetry: Telemetry = NULL_TELEMETRY
-    engine: str = "reference"
 
     @staticmethod
     def fixed(gamma: float, **kwargs: Any) -> "LRGPConfig":
@@ -97,53 +94,13 @@ class LRGPConfig:
         """Config with the adaptive step size (the paper's default)."""
         return LRGPConfig(node_gamma=AdaptiveGamma(), **kwargs)
 
-    def to_dict(self) -> dict[str, Any]:
-        """Canonical, JSON-ready form of the *configuration identity*.
-
-        Two configs with equal ``to_dict()`` drive identical trajectories
-        on the same problem, so this is the form the sweep cache hashes
-        (:mod:`repro.sweep.cache`).  ``telemetry`` is deliberately
-        excluded — observability wiring never changes the iterate — and
-        the admission strategy is identified by its qualified name.
-        """
-        # Callables carry no __module__/__qualname__ in the type system;
-        # unnameable strategies (partials, instances) fall back to their
-        # type name — repr would embed a memory address and break the
-        # cross-process stability this encoding exists to provide.
-        admission: object = self.admission
-        module = getattr(admission, "__module__", None)
-        qualname = getattr(admission, "__qualname__", None)
-        admission_name = (
-            f"{module}.{qualname}"
-            if isinstance(module, str) and isinstance(qualname, str)
-            else f"<unnamed:{type(admission).__name__}>"
-        )
-        return {
-            "node_gamma": self.node_gamma.to_spec(),
-            "link_gamma": self.link_gamma,
-            "initial_node_price": self.initial_node_price,
-            "initial_link_price": self.initial_link_price,
-            "record_snapshots": self.record_snapshots,
-            "admission": admission_name,
-            "engine": self.engine,
-        }
-
-    def config_hash(self) -> str:
-        """SHA-256 of the sorted-key canonical JSON of :meth:`to_dict`.
-
-        Stable across processes and ``PYTHONHASHSEED`` values (the
-        canonical encoding sorts every mapping), so it is safe to use as
-        a persistent cache key component.
-        """
-        return content_hash(self.to_dict())
-
 
 @dataclass(frozen=True)
 class IterationRecord:
     """Observable state at the end of one LRGP iteration.
 
     ``node_gammas`` holds the adaptive step size each node would apply on
-    its next tracking update; ``slack`` maps ``node:<id>`` / ``link:<id>``
+    its next price update; ``slack`` maps ``node:<id>`` / ``link:<id>``
     to remaining constraint headroom (eq. 4/5 capacity minus usage,
     negative when violated).  Both are populated only when snapshots are
     recorded, like the other mappings.
@@ -170,23 +127,23 @@ class LRGP:
 
     The optimizer keeps running state (prices, populations, rates) so it can
     be stepped indefinitely and reconfigured mid-run, as an autonomic
-    deployment would.  ``engine`` overrides the config's engine name; the
-    prepackaged :func:`repro.solve` entry point is usually more convenient
-    for one-shot optimization.
+    deployment would.  ``engine`` names the engine that executes the
+    iterations (:func:`repro.core.engines.create_engine`); the prepackaged
+    :func:`repro.solve` entry point is usually more convenient for one-shot
+    optimization.
     """
 
     def __init__(
         self,
         problem: Problem,
         config: LRGPConfig | None = None,
-        engine: str | None = None,
+        engine: str = DEFAULT_ENGINE,
     ) -> None:
         self._config = config or LRGPConfig()
         self._iteration = 0
         self._utilities: list[float] = []
         self._records: list[IterationRecord] = []
-        engine_name = engine if engine is not None else self._config.engine
-        self._engine: LRGPEngine = create_engine(engine_name, problem, self._config)
+        self._engine: LRGPEngine = create_engine(engine, problem, self._config)
 
     # -- state accessors ----------------------------------------------------
 
@@ -231,7 +188,7 @@ class LRGP:
         return self._engine.link_prices()
 
     def node_gammas(self) -> dict[NodeId, float]:
-        """The step size each node's next tracking update would apply."""
+        """The step size each node's next price update would apply."""
         return self._engine.node_gammas()
 
     # -- reconfiguration ------------------------------------------------------
@@ -241,8 +198,8 @@ class LRGP:
 
         Prices and populations for entities that persist across the change
         are preserved; departed flows/classes/resources are dropped and new
-        ones start from the configured initial state.  This reproduces the
-        "flow source leaves the system" dynamics of figure 3.
+        ones start fresh (price 0, minimum rate, nobody admitted).  This
+        reproduces the "flow source leaves the system" dynamics of figure 3.
         """
         self._engine.bind(problem, preserve_state=True)
 

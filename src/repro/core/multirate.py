@@ -210,7 +210,7 @@ class MultirateLRGP:
         self._node_controllers = {
             node_id: NodePriceController(
                 capacity=problem.nodes[node_id].capacity,
-                gamma_under=self._config.node_gamma.clone(),
+                gamma=self._config.node_gamma.clone(),
             )
             for node_id in problem.consumer_nodes()
         }

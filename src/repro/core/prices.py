@@ -46,23 +46,19 @@ def _validate_price(price: float) -> float:
 class NodePriceController:
     """Maintains ``p_b`` for one node.
 
-    ``gamma_under`` is the schedule for the tracking branch
-    (``used <= c_b``) and ``gamma_over`` for the violation branch; the paper
-    sets them equal (section 4.2), which is the default when ``gamma_over``
-    is omitted — the two branches then share a single schedule so the
-    adaptive heuristic sees the whole price trajectory.
+    Both branches of eq. 12 — tracking (``used <= c_b``) and violation —
+    step with the one ``gamma`` schedule, as the paper sets them (section
+    4.2), so the adaptive heuristic sees the whole price trajectory.
     """
 
     def __init__(
         self,
         capacity: float,
-        gamma_under: GammaSchedule,
-        gamma_over: GammaSchedule | None = None,
+        gamma: GammaSchedule,
         initial_price: float = 0.0,
     ) -> None:
         self.capacity = _validate_capacity(capacity)
-        self._gamma_under = gamma_under
-        self._gamma_over = gamma_over if gamma_over is not None else gamma_under
+        self._gamma = gamma
         self._price = _validate_price(initial_price)
         #: Optional telemetry probe; ``None`` keeps the update allocation-free.
         self.probe: PriceProbe | None = None
@@ -73,15 +69,13 @@ class NodePriceController:
 
     @property
     def gamma(self) -> float:
-        """The step size the *next* tracking-branch update would apply."""
-        return self._gamma_under.value()
+        """The step size the *next* update would apply."""
+        return self._gamma.value()
 
     def attach_probe(self, probe: "PriceProbe") -> None:
-        """Wire a telemetry probe into this controller and its schedules."""
+        """Wire a telemetry probe into this controller and its schedule."""
         self.probe = probe
-        self._gamma_under.probe = probe
-        if self._gamma_over is not self._gamma_under:
-            self._gamma_over.probe = probe
+        self._gamma.probe = probe
 
     def update(self, benefit_cost: float, used: float) -> float:
         """Apply eq. 12 and return the new price.
@@ -100,18 +94,15 @@ class NodePriceController:
         if not math.isfinite(used) or used < 0.0:
             raise ValueError(f"used must be finite and non-negative, got {used}")
         old_price = self._price
+        gamma = self._gamma.value()
         if used <= self.capacity:
-            gamma = self._gamma_under.value()
             new_price = old_price + gamma * (benefit_cost - old_price)
-            observer = self._gamma_under
             branch = "track"
         else:
-            gamma = self._gamma_over.value()
             new_price = old_price + gamma * (used - self.capacity)
-            observer = self._gamma_over
             branch = "violation"
         new_price = max(new_price, 0.0)
-        observer.observe(new_price - old_price)
+        self._gamma.observe(new_price - old_price)
         self._price = new_price
         if self.probe is not None:
             self.probe.price_update(
@@ -124,27 +115,21 @@ class NodePriceController:
         self._price = _validate_price(price)
 
     def state_dict(self) -> dict[str, object]:
-        """Checkpoint of price + step-size state (for agent recovery)."""
-        state: dict[str, object] = {
-            "price": self._price,
-            "gamma_under": self._gamma_under.state_dict(),
-        }
-        if self._gamma_over is not self._gamma_under:
-            state["gamma_over"] = self._gamma_over.state_dict()
-        return state
+        """Checkpoint of price + step-size state (for agent recovery).
+
+        The schedule's state sits under ``"gamma_under"``, the key every
+        existing checkpoint uses.
+        """
+        return {"price": self._price, "gamma_under": self._gamma.state_dict()}
 
     def load_state(self, state: dict[str, object]) -> None:
         """Inverse of :meth:`state_dict` (validates the restored price)."""
         price = state["price"]
         assert isinstance(price, float)
         self._price = _validate_price(price)
-        gamma_under = state["gamma_under"]
-        assert isinstance(gamma_under, dict)
-        self._gamma_under.load_state(gamma_under)
-        gamma_over = state.get("gamma_over")
-        if gamma_over is not None and self._gamma_over is not self._gamma_under:
-            assert isinstance(gamma_over, dict)
-            self._gamma_over.load_state(gamma_over)
+        gamma = state["gamma_under"]
+        assert isinstance(gamma, dict)
+        self._gamma.load_state(gamma)
 
 
 class LinkPriceController:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.engines import DEFAULT_ENGINE
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.model.allocation import Allocation
 from repro.obs.telemetry import NULL_TELEMETRY
@@ -112,14 +113,14 @@ def two_stage_optimize(
     problem: Problem,
     config: LRGPConfig | None = None,
     iterations: int = 250,
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> TwoStageResult:
     """Run LRGP, prune abandoned branches, run LRGP again.
 
     Both stages run ``iterations`` LRGP iterations from a fresh optimizer
     (stage 2 on the pruned problem).  If nothing is prunable, stage 2 equals
-    stage 1 and is not re-run.  ``engine`` overrides the config's LRGP
-    engine selection for both stages (:mod:`repro.core.engines`).
+    stage 1 and is not re-run.  ``engine`` names the LRGP engine both
+    stages run (:mod:`repro.core.engines`).
     """
     telemetry = config.telemetry if config is not None else NULL_TELEMETRY
     profiler = telemetry.profiler

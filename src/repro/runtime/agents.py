@@ -348,7 +348,6 @@ class NodeAgent(Agent):
         problem: Problem,
         node_id: NodeId,
         gamma: GammaSchedule,
-        initial_price: float = 0.0,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         super().__init__(node_address(node_id), telemetry=telemetry)
@@ -359,9 +358,7 @@ class NodeAgent(Agent):
             for flow_id in problem.flows_at_node(node_id)
         }
         self._controller = NodePriceController(
-            capacity=problem.nodes[node_id].capacity,
-            gamma_under=gamma,
-            initial_price=initial_price,
+            capacity=problem.nodes[node_id].capacity, gamma=gamma
         )
         probe = telemetry.probe("node", node_id)
         if probe is not None:
@@ -461,7 +458,6 @@ class LinkAgent(Agent):
         problem: Problem,
         link_id: LinkId,
         gamma: float,
-        initial_price: float = 0.0,
         telemetry: Telemetry = NULL_TELEMETRY,
     ) -> None:
         super().__init__(link_address(link_id), telemetry=telemetry)
@@ -472,9 +468,7 @@ class LinkAgent(Agent):
             for flow_id in problem.flows_on_link(link_id)
         }
         self._controller = LinkPriceController(
-            capacity=problem.links[link_id].capacity,
-            gamma=gamma,
-            initial_price=initial_price,
+            capacity=problem.links[link_id].capacity, gamma=gamma
         )
         probe = telemetry.probe("link", link_id)
         if probe is not None:

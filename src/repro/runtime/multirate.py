@@ -176,7 +176,7 @@ class MultirateNodeAgent(Agent):
         self._problem = problem
         self._node_id = node_id
         self._controller = NodePriceController(
-            capacity=problem.nodes[node_id].capacity, gamma_under=gamma
+            capacity=problem.nodes[node_id].capacity, gamma=gamma
         )
         self._caps: dict[FlowId, float] = {
             flow_id: problem.flows[flow_id].rate_min

@@ -43,8 +43,8 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.canonical import canonical_json, content_hash
 from repro.core.convergence import iterations_until_convergence
+from repro.core.engines import DEFAULT_ENGINE
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.model.allocation import Allocation, total_utility
 from repro.model.problem import Problem
@@ -57,26 +57,30 @@ if TYPE_CHECKING:
 ENGINE_METHODS = frozenset({"lrgp", "two_stage"})
 
 #: Smallest flow count at which the vectorized engine pays for itself.
-#: Measured crossover (benchmarks/results/BENCH_engines.json, "dispatch"
-#: section): the micro workload (2 flows) runs at ~0.95x the reference
-#: engine — numpy array setup dominates — while the base workload
-#: (6 flows) reaches ~2.4x.  Below this floor :func:`solve` silently runs
-#: the reference engine and records the substitution in
-#: ``metadata["engine_fallback"]``.  Constructing :class:`LRGP` directly
-#: with ``engine="vectorized"`` bypasses the dispatch: explicit driver
-#: construction means the caller wants that engine, benchmark harnesses
-#: included.
+#: On the smallest problems numpy array setup dominates.  The measured
+#: speedups over the reference engine and the measured crossover are the
+#: ``engines.dispatch.workloads.*.speedup`` and
+#: ``engines.dispatch.measured_crossover_flows`` metrics of
+#: ``benchmarks/results/BENCH_trajectory.json`` (from ``BENCH_engines.json``).
+#: Below this floor :func:`solve` silently runs the reference engine and
+#: records the substitution in ``metadata["engine_fallback"]``.
+#: Constructing :class:`LRGP` directly with ``engine="vectorized"`` bypasses
+#: the dispatch: explicit driver construction means the caller wants that
+#: engine, benchmark harnesses included.
 VECTORIZED_MIN_FLOWS = 4
 
 
 def _dispatch_engine(
     problem: Problem, engine: str | None
-) -> tuple[str | None, dict[str, Any] | None]:
+) -> tuple[str, dict[str, Any] | None]:
     """Resolve the requested engine against the problem size.
 
-    Returns the engine to actually run plus the ``engine_fallback``
-    metadata entry (``None`` when the request is honored as-is).
+    ``None`` means :data:`~repro.core.engines.DEFAULT_ENGINE`.  Returns the
+    engine to actually run plus the ``engine_fallback`` metadata entry
+    (``None`` when the request is honored as-is).
     """
+    if engine is None:
+        return DEFAULT_ENGINE, None
     if engine != "vectorized":
         return engine, None
     flows = len(problem.flows)
@@ -144,27 +148,12 @@ class SolveResult:
 
         ``wall_time_seconds`` changes run to run even when the trajectory
         is bit-identical, so the canonical form — the one the sweep cache
-        compares and hashes — excludes it.  Everything the optimizer
-        *computed* (utility trajectory, allocation, prices, convergence)
-        stays in.
+        stores — excludes it.  Everything the optimizer *computed*
+        (utility trajectory, allocation, prices, convergence) stays in.
         """
         payload = self.to_dict()
         del payload["wall_time_seconds"]
         return payload
-
-    def canonical_json(self) -> str:
-        """Sorted-key canonical JSON of :meth:`canonical_dict`.
-
-        Deterministic solves (the LRGP family, seeded baselines) produce
-        byte-equal strings across repeated executions, processes and
-        ``PYTHONHASHSEED`` values — the bit-equality contract the sweep
-        cache relies on (``allow_nan=False``, like the trace sinks).
-        """
-        return canonical_json(self.canonical_dict())
-
-    def config_hash(self) -> str:
-        """SHA-256 content hash of :meth:`canonical_json`."""
-        return content_hash(self.canonical_dict())
 
 
 def _json_safe(value: Any) -> bool:
@@ -299,9 +288,6 @@ def _solve_two_stage(
     result = two_stage_optimize(problem, config, budget, engine=engine)
     wall = time.perf_counter() - started
 
-    engine_name = engine if engine is not None else (
-        config.engine if config is not None else LRGPConfig().engine
-    )
     utilities = result.stage1_utilities + result.stage2_utilities
     metadata: dict[str, Any] = {
         "stage1_utility": result.stage1_utility,
@@ -314,7 +300,7 @@ def _solve_two_stage(
         metadata["engine_fallback"] = fallback
     return SolveResult(
         method="two_stage",
-        engine=engine_name,
+        engine=engine,
         allocation=result.stage2_allocation,
         utility=result.stage2_utility,
         utilities=utilities,
@@ -464,7 +450,8 @@ def solve(
     """Optimize ``problem`` with the chosen method; return a :class:`SolveResult`.
 
     ``engine`` selects the LRGP iteration-execution strategy
-    (``"reference"`` | ``"vectorized"``) and is only accepted for the
+    (``"reference"`` | ``"vectorized"``; ``None`` runs
+    :data:`~repro.core.engines.DEFAULT_ENGINE`) and is only accepted for the
     LRGP-based methods (:data:`ENGINE_METHODS`).  For problems below the
     measured vectorized crossover (:data:`VECTORIZED_MIN_FLOWS` flows)
     ``engine="vectorized"`` transparently runs the reference engine

@@ -44,7 +44,6 @@ from repro.sweep.live import (
 )
 from repro.sweep.report import (
     bench_payload,
-    render_sweep_comparison,
     render_sweep_plan,
     render_sweep_report,
     sweep_to_csv,
@@ -87,7 +86,6 @@ __all__ = [
     "plan_sweep",
     "render_ledger",
     "render_live_event",
-    "render_sweep_comparison",
     "render_sweep_plan",
     "render_sweep_report",
     "run_sweep",

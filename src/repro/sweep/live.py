@@ -25,7 +25,7 @@ free — the farm supplies measured durations, this module only counts.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Callable, Protocol
+from typing import IO, Any, Callable
 
 __all__ = [
     "STRAGGLER_MIN_SAMPLES",
@@ -36,12 +36,6 @@ __all__ = [
 
 #: Executed-cell durations needed before the p95 straggler flag arms.
 STRAGGLER_MIN_SAMPLES = 5
-
-
-class SweepMonitor(Protocol):
-    """Anything that accepts sweep progress event dicts."""
-
-    def __call__(self, event: dict[str, Any]) -> None: ...
 
 
 def _p95(samples: list[float]) -> float:

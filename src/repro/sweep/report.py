@@ -2,10 +2,9 @@
 
 The farm produces :class:`~repro.sweep.farm.SweepResult`; this module is
 every presentation of it — the ``repro sweep run`` table, the
-``--dry-run`` plan, machine-readable CSV/JSON, the ``BENCH_sweep.json``
-payload that ``repro bench snapshot`` folds into the trajectory, and a
-sweep-vs-sweep comparison built on the same threshold/direction engine
-as ``repro bench compare``.
+``--dry-run`` plan, machine-readable CSV/JSON, and the
+``BENCH_sweep.json`` payload that ``repro bench snapshot`` folds into the
+trajectory (``repro bench compare`` diffs two of them).
 """
 
 from __future__ import annotations
@@ -15,13 +14,11 @@ import io
 from collections.abc import Sequence
 from typing import Any
 
-from repro.obs.bench import compare_snapshots, render_comparison
 from repro.sweep.farm import SweepCell, SweepResult
 from repro.sweep.spec import RunConfig
 
 __all__ = [
     "bench_payload",
-    "render_sweep_comparison",
     "render_sweep_plan",
     "render_sweep_report",
     "sweep_to_csv",
@@ -224,13 +221,3 @@ def bench_payload(result: SweepResult) -> dict[str, Any]:
         "cells": {label: cells[label] for label in sorted(cells)},
     }
 
-
-def render_sweep_comparison(
-    old: dict[str, Any],
-    new: dict[str, Any],
-    threshold: float = 0.10,
-) -> str:
-    """Diff two sweep bench payloads (or full JSON exports) with the same
-    threshold/direction engine as ``repro bench compare``."""
-    comparison = compare_snapshots(old, new, threshold)
-    return render_comparison(comparison)

@@ -75,23 +75,30 @@ class WorkloadParams:
     rate_min: float = BASE_RATE_MIN
     rate_max: float = BASE_RATE_MAX
 
-    def utility_factory(self) -> UtilityFactory:
-        if callable(self.shape):
-            return self.shape
-        try:
-            return UTILITY_SHAPES[self.shape]
-        except KeyError:
-            raise ValueError(
-                f"unknown utility shape {self.shape!r}; "
-                f"expected one of {sorted(UTILITY_SHAPES)}"
-            ) from None
+
+def resolve_shape(shape: str | UtilityFactory) -> UtilityFactory:
+    """The class-utility factory a builder's ``shape=`` names.
+
+    A callable is used as is; a string must name an entry of
+    :data:`~repro.utility.functions.UTILITY_SHAPES`, or ``ValueError``
+    lists the known ones.
+    """
+    if callable(shape):
+        return shape
+    try:
+        return UTILITY_SHAPES[shape]
+    except KeyError:
+        raise ValueError(
+            f"unknown utility shape {shape!r}; "
+            f"expected one of {sorted(UTILITY_SHAPES)}"
+        ) from None
 
 
 def build_workload(params: WorkloadParams) -> Problem:
     """Materialize a (possibly replicated) Table 1 workload."""
     if params.flow_replicas < 1 or params.node_replicas < 1:
         raise ValueError("replication factors must be at least 1")
-    make_utility = params.utility_factory()
+    make_utility = resolve_shape(params.shape)
 
     hub = Node("P", capacity=math.inf)
     nodes: list[Node] = [hub]

@@ -27,8 +27,7 @@ from repro.model.costs import (
 )
 from repro.model.entities import ConsumerClass, Flow, Link, Node, Route
 from repro.model.problem import Problem, build_problem
-from repro.utility.functions import UTILITY_SHAPES
-from repro.workloads.base import UtilityFactory
+from repro.workloads.base import UtilityFactory, resolve_shape
 
 #: Rank/population pairs for the bottleneck classes (one class per flow per
 #: consumer node): heavier ranks on earlier flows so the price allocation
@@ -58,10 +57,7 @@ def link_bottleneck_workload(
         raise ValueError("need at least one flow and one consumer node")
     if link_capacity <= 0.0:
         raise ValueError("link_capacity must be positive")
-    if callable(shape):
-        make_utility = shape
-    else:
-        make_utility = UTILITY_SHAPES[shape]
+    make_utility = resolve_shape(shape)
 
     node_names = [f"S{index}" for index in range(consumer_nodes)]
     nodes = [Node("P", capacity=math.inf), Node("R", capacity=math.inf)] + [

@@ -35,8 +35,7 @@ from repro.model.costs import (
 from repro.model.entities import ConsumerClass, Flow, Route
 from repro.model.problem import Problem, build_problem
 from repro.model.topology import fat_tree_overlay, leaf_spine_overlay
-from repro.utility.functions import UTILITY_SHAPES
-from repro.workloads.base import UtilityFactory
+from repro.workloads.base import UtilityFactory, resolve_shape
 from repro.workloads.tree import DEFAULT_RANKS
 
 #: Default fabric link capacity: finite so links carry price controllers
@@ -70,10 +69,7 @@ def leaf_spine_workload(
     """
     if flows < 1 or leaves_per_flow < 1 or classes_per_leaf < 1:
         raise ValueError("flows/leaves_per_flow/classes_per_leaf must be >= 1")
-    if callable(shape):
-        make_utility = shape
-    else:
-        make_utility = UTILITY_SHAPES[shape]
+    make_utility = resolve_shape(shape)
 
     overlay = leaf_spine_overlay(
         spines=spines,
@@ -159,10 +155,7 @@ def fat_tree_workload(
     """
     if flows < 1 or edges_per_flow < 1 or classes_per_edge < 1:
         raise ValueError("flows/edges_per_flow/classes_per_edge must be >= 1")
-    if callable(shape):
-        make_utility = shape
-    else:
-        make_utility = UTILITY_SHAPES[shape]
+    make_utility = resolve_shape(shape)
 
     overlay = fat_tree_overlay(
         k=k, edge_capacity=edge_capacity, link_capacity=link_capacity

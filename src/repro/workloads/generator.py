@@ -22,8 +22,7 @@ from repro.model.costs import (
 )
 from repro.model.entities import ConsumerClass, Flow, Link, Node, Route
 from repro.model.problem import Problem, build_problem
-from repro.utility.functions import UTILITY_SHAPES
-from repro.workloads.base import UtilityFactory
+from repro.workloads.base import UtilityFactory, resolve_shape
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,7 @@ def generate_workload(config: GeneratorConfig | None = None, seed: int = 0) -> P
     """Draw one random problem instance; same seed, same instance."""
     config = config or GeneratorConfig()
     rng = random.Random(seed)
-    if callable(config.shape):
-        make_utility = config.shape
-    else:
-        make_utility = UTILITY_SHAPES[config.shape]
+    make_utility = resolve_shape(config.shape)
 
     node_names = [f"S{index}" for index in range(config.consumer_nodes)]
     nodes = [Node("P", capacity=math.inf)] + [

@@ -31,8 +31,7 @@ from repro.model.costs import (
 from repro.model.entities import ConsumerClass, Flow, Link, Node, Route
 from repro.model.problem import Problem, build_problem
 from repro.model.topology import Overlay
-from repro.utility.functions import UTILITY_SHAPES
-from repro.workloads.base import UtilityFactory
+from repro.workloads.base import UtilityFactory, resolve_shape
 
 #: Rank ladder reused round-robin across a flow's classes.
 DEFAULT_RANKS = (40.0, 10.0, 2.0)
@@ -62,10 +61,7 @@ def tree_workload(
         raise ValueError("depth and branching must be at least 1")
     if flows < 1 or leaves_per_flow < 1 or classes_per_leaf < 1:
         raise ValueError("flows/leaves_per_flow/classes_per_leaf must be >= 1")
-    if callable(shape):
-        make_utility = shape
-    else:
-        make_utility = UTILITY_SHAPES[shape]
+    make_utility = resolve_shape(shape)
 
     # Nodes: root, interior levels, leaves.
     nodes = [Node("root", capacity=math.inf)]

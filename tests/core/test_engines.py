@@ -8,6 +8,7 @@ allocation must agree (populations exactly — they are integers).
 """
 
 import dataclasses
+import inspect
 import math
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.consumer_allocation import allocate_consumers
 from repro.core.engines import (
+    DEFAULT_ENGINE,
     LRGPEngine,
     ReferenceEngine,
     available_engines,
@@ -23,6 +25,7 @@ from repro.core.engines import (
 )
 from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.core.lrgp import LRGP, LRGPConfig
+from repro.core.two_stage import two_stage_optimize
 from repro.model.entities import Node
 from repro.model.problem import Problem, build_problem
 from repro.utility.functions import PowerUtility
@@ -80,19 +83,16 @@ class TestRegistry:
         assert isinstance(engine, ReferenceEngine)
         assert engine.name == "reference"
 
-    def test_config_engine_field_and_override(self):
+    def test_engine_argument_defaults_to_default_engine(self):
         problem = micro_workload()
-        assert LRGP(problem).engine_name == "reference"
-        assert (
-            LRGP(problem, LRGPConfig(engine="vectorized")).engine_name
-            == "vectorized"
-        )
-        assert (
-            LRGP(
-                problem, LRGPConfig(engine="vectorized"), engine="reference"
-            ).engine_name
-            == "reference"
-        )
+        assert DEFAULT_ENGINE in available_engines()
+        assert LRGP(problem).engine_name == DEFAULT_ENGINE
+        assert LRGP(problem, engine="vectorized").engine_name == "vectorized"
+        for entry_point in (LRGP, two_stage_optimize):
+            default = inspect.signature(entry_point).parameters["engine"].default
+            assert default == DEFAULT_ENGINE
+        with pytest.raises(ValueError, match="unknown engine 'turbo'"):
+            LRGP(problem, engine="turbo")
 
 
 class TestVectorizedGating:

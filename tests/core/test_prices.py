@@ -43,12 +43,19 @@ class TestNodePriceController:
         controller.update(benefit_cost=0.0, used=10.0)
         assert controller.price == pytest.approx(2.0)
 
-    def test_separate_gamma_for_violation_branch(self):
-        controller = NodePriceController(
-            100.0, gamma_under=FixedGamma(0.5), gamma_over=FixedGamma(0.001)
+    def test_violation_branch_steps_the_one_schedule(self):
+        gamma = AdaptiveGamma(initial=0.05)
+        controller = NodePriceController(100.0, gamma)
+        # Violation: 0 + 0.05 * (200 - 100); a first, quiet step grows gamma.
+        assert controller.update(benefit_cost=0.0, used=200.0) == pytest.approx(5.0)
+        assert gamma.state_dict() == pytest.approx(
+            {"gamma": 0.051, "last_delta": 5.0}
         )
-        price = controller.update(benefit_cost=0.0, used=200.0)
-        assert price == pytest.approx(0.1)
+        assert controller.gamma == gamma.value()
+        # Tracking moves the price back down: the schedule saw the
+        # violation's rise, so it detects the reversal and halves.
+        controller.update(benefit_cost=0.0, used=10.0)
+        assert gamma.value() == pytest.approx(0.0255)
 
     def test_adaptive_gamma_observes_deltas(self):
         gamma = AdaptiveGamma(initial=0.05)

@@ -265,13 +265,12 @@ class TestProfiledSolvesStayExact:
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_profiled_trajectory_is_bit_identical(self, engine):
         problem = workload_from_spec("flows-x4")
-        plain = LRGP(problem, LRGPConfig(engine=engine))
+        plain = LRGP(problem, engine=engine)
         plain.run(60)
         profiled = LRGP(
             problem,
-            LRGPConfig(
-                engine=engine, telemetry=Telemetry(profiler=PhaseProfiler())
-            ),
+            LRGPConfig(telemetry=Telemetry(profiler=PhaseProfiler())),
+            engine=engine,
         )
         profiled.run(60)
         assert plain.utilities == profiled.utilities

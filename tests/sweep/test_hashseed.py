@@ -5,8 +5,9 @@ addresses the same entry on every machine, every process, every run.
 Python's per-process hash randomization is the classic way that breaks
 — ``set``/``dict`` ordering leaking into serialized forms — so this test
 computes the full hash surface (RunConfig cache keys, grid expansion
-hashes, LRGPConfig hashes, SolveResult canonical JSON) in fresh
-interpreters under different hash seeds and asserts byte-identity.
+hashes, and the canonical JSON of a SolveResult as the cache stores it)
+in fresh interpreters under different hash seeds and asserts
+byte-identity.
 """
 
 import json
@@ -24,8 +25,7 @@ _SCRIPT = """
 import json
 import sys
 
-from repro.core.gamma import AdaptiveGamma, FixedGamma
-from repro.core.lrgp import LRGPConfig
+from repro.canonical import canonical_json
 from repro.solve import solve
 from repro.sweep import RunConfig, SweepSpec, cache_salt
 from repro.workloads import get_workload
@@ -49,11 +49,7 @@ result = solve(get_workload("micro"), iterations=12)
 payload = {
     "cell_key": config.config_hash(cache_salt()),
     "grid_hashes": [cell.config_hash() for cell in spec.expand()],
-    "lrgp_default": LRGPConfig().config_hash(),
-    "lrgp_fixed": LRGPConfig(node_gamma=FixedGamma(0.05)).config_hash(),
-    "lrgp_adaptive": LRGPConfig(node_gamma=AdaptiveGamma()).config_hash(),
-    "solve_hash": result.config_hash(),
-    "solve_json": result.canonical_json(),
+    "solve_json": canonical_json(result.canonical_dict()),
 }
 json.dump(payload, sys.stdout, sort_keys=True)
 """

@@ -5,13 +5,17 @@ import io
 
 import pytest
 
-from repro.obs.bench import collect_metrics, metric_direction
+from repro.obs.bench import (
+    collect_metrics,
+    compare_snapshots,
+    metric_direction,
+    render_comparison,
+)
 from repro.sweep import (
     ResultCache,
     SweepSpec,
     bench_payload,
     plan_sweep,
-    render_sweep_comparison,
     render_sweep_plan,
     render_sweep_report,
     run_sweep,
@@ -113,10 +117,14 @@ class TestComparison:
             },
         }
         new["cells"][label]["utility"] *= 0.5
-        text = render_sweep_comparison(old, new)
-        assert "1 regression(s)" in text
+        comparison = compare_snapshots(old, new)
+        assert [delta.name for delta in comparison.regressions] == [
+            f"cells.{label}.utility"
+        ]
+        assert "1 regression(s)" in render_comparison(comparison)
 
     def test_identical_payloads_are_stable(self, result):
         payload = bench_payload(result)
-        text = render_sweep_comparison(payload, payload)
-        assert "0 regression(s)" in text
+        comparison = compare_snapshots(payload, payload)
+        assert comparison.regressions == ()
+        assert "0 regression(s)" in render_comparison(comparison)

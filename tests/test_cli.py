@@ -30,6 +30,12 @@ class TestLoadProblem:
         with pytest.raises(SystemExit, match="unknown workload"):
             load_problem("no-such-thing")
 
+    def test_unknown_shape_is_reported_as_a_shape(self):
+        with pytest.raises(
+            SystemExit, match=r"^unknown utility shape 'bogus'; expected one of"
+        ):
+            main(["optimize", "leafspine:shape=bogus", "--iterations", "5"])
+
 
 class TestOptimizeCommand:
     def test_prints_summary(self, capsys):

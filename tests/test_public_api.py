@@ -5,6 +5,7 @@ README through ``import repro`` — this pins that surface so refactors
 cannot silently break it.
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -92,6 +93,39 @@ class TestTopLevelExports:
 
         package_dir = Path(repro.__file__).parent
         assert (package_dir / "py.typed").exists()
+
+
+class TestDriverConfigurationSurface:
+    """The driver is configured by five fields plus ``engine=``."""
+
+    def test_lrgp_config_has_exactly_five_fields(self):
+        assert [field.name for field in dataclasses.fields(repro.LRGPConfig)] == [
+            "node_gamma",
+            "link_gamma",
+            "record_snapshots",
+            "admission",
+            "telemetry",
+        ]
+
+    @pytest.mark.parametrize(
+        ("option", "value"),
+        [
+            ("engine", "vectorized"),
+            ("initial_node_price", 1.0),
+            ("initial_link_price", 1.0),
+        ],
+    )
+    def test_removed_config_options_are_rejected(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            repro.LRGPConfig(**{option: value})
+
+    def test_node_price_controller_takes_one_schedule(self):
+        from repro.core.prices import NodePriceController
+
+        with pytest.raises(TypeError, match="gamma_over"):
+            NodePriceController(
+                100.0, repro.FixedGamma(0.5), gamma_over=repro.FixedGamma(0.1)
+            )
 
 
 class TestDeprecatedWorkloadSpellings:

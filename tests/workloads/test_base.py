@@ -14,6 +14,7 @@ from repro.workloads.base import (
     base_workload,
     build_workload,
 )
+from repro.workloads.registry import workload_from_spec
 
 #: (class pair, flow, nodes, n_max, rank) straight from Table 1.
 TABLE1_ROWS = [
@@ -98,6 +99,13 @@ class TestUtilityShapes:
     def test_unknown_shape_rejected(self):
         with pytest.raises(ValueError, match="unknown utility shape"):
             base_workload("cubic")
+        # Every family that takes a shape resolves it the same way.
+        for spec in ("base:", "flows:factor=2,", "cnodes:factor=2,", "tree:",
+                     "leafspine:", "fattree:", "bottleneck:", "generated:"):
+            with pytest.raises(
+                ValueError, match=r"unknown utility shape 'cubic'; expected one of"
+            ):
+                workload_from_spec(spec + "shape=cubic")
 
     def test_bad_replication_rejected(self):
         with pytest.raises(ValueError):
