@@ -33,7 +33,9 @@ Commands:
   regressions (``bench compare``).
 * ``chaos``     — run the asynchronous deployment under a seeded fault plan
   (crashes + checkpoint restarts, partitions, delay storms) and report
-  recovery times and utility retention vs the fault-free run.
+  recovery times and utility retention: converged utility over that of
+  the same deployment, acknowledged delivery included, with no plan
+  (``repro.runtime.run_chaos`` runs both).
 * ``sweep``     — declarative experiment grids (``repro.sweep``): expand
   workload x method x engine x gamma x fault-plan x iterations x seed
   axes into cells, execute them over a process-pool farm with a
@@ -106,6 +108,7 @@ if TYPE_CHECKING:
     from repro.sweep import ResultCache, SweepSpec
 
 from repro.core.engines import DEFAULT_ENGINE, available_engines
+from repro.core.gamma import AdaptiveGamma, FixedGamma
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.experiments.extensions import (
     extension_capacity_churn,
@@ -217,17 +220,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             "--trace needs per-iteration records; only --method lrgp has them"
         )
     options: dict[str, object] = {}
-    if method in ("lrgp", "two_stage"):
-        options["config"] = LRGPConfig(
-            node_gamma=(
-                LRGPConfig.fixed(args.gamma).node_gamma
-                if args.gamma is not None
-                else LRGPConfig.adaptive().node_gamma
-            ),
-            link_gamma=args.link_gamma,
-            record_snapshots=args.trace is not None,
-        )
     try:
+        if method in ("lrgp", "two_stage"):
+            options["config"] = LRGPConfig(
+                node_gamma=(
+                    FixedGamma(args.gamma) if args.gamma is not None else AdaptiveGamma()
+                ),
+                link_gamma=args.link_gamma,
+                record_snapshots=args.trace is not None,
+            )
         result = solve(
             problem,
             method,
@@ -880,36 +881,30 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.events.reliability import RetryPolicy
-    from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
+    from repro.runtime.asynchronous import retention, run_chaos
     from repro.runtime.faults import FaultPlan
 
     problem = load_problem(args.workload)
     checkpoint_interval = None if args.no_checkpoint else args.checkpoint_interval
-    plan = FaultPlan.random(
-        problem,
-        seed=args.seed,
-        horizon=args.horizon,
-        crash_rate=args.crash_rate,
-        mean_downtime=args.mean_downtime,
-        cold_probability=args.cold_probability,
-        partition_rate=args.partition_rate,
-        storm_rate=args.storm_rate,
-        warmup=args.warmup,
-        checkpoint_interval=checkpoint_interval,
-    )
-    runtime = AsynchronousRuntime(
-        problem,
-        AsyncConfig(seed=args.seed),
-        fault_plan=plan,
-        retry=RetryPolicy(),
-    )
-    runtime.run_until(args.horizon)
-    baseline = AsynchronousRuntime(problem, AsyncConfig(seed=args.seed))
-    baseline.run_until(args.horizon)
+    try:
+        plan = FaultPlan.random(
+            problem,
+            seed=args.seed,
+            horizon=args.horizon,
+            crash_rate=args.crash_rate,
+            mean_downtime=args.mean_downtime,
+            cold_probability=args.cold_probability,
+            partition_rate=args.partition_rate,
+            storm_rate=args.storm_rate,
+            warmup=args.warmup,
+            checkpoint_interval=checkpoint_interval,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
+    runtime = run_chaos(problem, plan, seed=args.seed, horizon=args.horizon)
+    baseline = run_chaos(problem, None, seed=args.seed, horizon=args.horizon)
     utility = runtime.converged_utility()
-    reference = baseline.converged_utility()
-    retention = utility / reference if reference else float("nan")
+    ratio = retention(runtime, baseline)
 
     if args.json:
         import json as _json
@@ -918,24 +913,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             "workload": args.workload,
             "horizon": args.horizon,
             "seed": args.seed,
-            "plan": {
-                "crashes": len(plan.crashes),
-                "partitions": len(plan.partitions),
-                "storms": len(plan.storms),
-                "checkpoint_interval": plan.checkpoint_interval,
-            },
+            "plan": plan.summary(),
             "utility": utility,
-            "baseline_utility": reference,
-            "retention": retention,
-            "counters": {
-                "messages_sent": runtime.messages_sent,
-                "messages_lost": runtime.messages_lost,
-                "messages_stale": runtime.messages_stale,
-                "messages_to_down": runtime.messages_to_down,
-                "messages_partitioned": runtime.messages_partitioned,
-                "retransmissions": runtime.retransmissions,
-                "retries_abandoned": runtime.retries_abandoned,
-            },
+            "baseline_utility": baseline.converged_utility(),
+            "retention": ratio,
+            "counters": runtime.message_counters(),
             "recoveries": [
                 {
                     "address": record.address,
@@ -970,7 +952,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"{runtime.messages_partitioned} partitioned, "
         f"{runtime.retransmissions} retransmitted"
     )
-    print(f"utility:    {utility:,.2f} ({retention:.2%} of fault-free run)")
+    share = "n/a" if ratio is None else f"{ratio:.2%}"
+    print(f"utility:    {utility:,.2f} ({share} of fault-free run)")
     if runtime.recoveries:
         print("recoveries:")
         for record in runtime.recoveries:

@@ -18,7 +18,7 @@ classes that remain below ``n^max``, which the node-price controller tracks
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 from repro.model.entities import ClassId, FlowId, NodeId
@@ -65,7 +65,22 @@ def allocate_consumers(
     node_id: NodeId,
     rates: Mapping[FlowId, float],
 ) -> NodeAllocation:
-    """Algorithm 2, step 2: greedily admit consumers at ``node_id``.
+    """Algorithm 2, step 2: greedily admit consumers at ``node_id`` in
+    decreasing ``BC_j`` order (:func:`admit_in_order` with no order)."""
+    return admit_in_order(problem, node_id, rates, None)
+
+
+def admit_in_order(
+    problem: Problem,
+    node_id: NodeId,
+    rates: Mapping[FlowId, float],
+    order: Iterable[ClassId] | None,
+) -> NodeAllocation:
+    """Admit whole classes at ``node_id`` to saturation in ``order``.
+
+    ``order=None`` is Algorithm 2's: decreasing ``BC_j`` (eq. 10), ties
+    broken by class id for determinism.  The admission ablations pass
+    orders that ignore the ratios; the ratios are still reported.
 
     The budget available for consumers is the node capacity minus the
     consumer-independent flow cost ``sum_i F_{b,i} r_i``.  If the flow cost
@@ -89,8 +104,8 @@ def allocate_consumers(
         )
         for class_id in class_ids
     }
-    # Decreasing ratio; ties broken by class id for determinism.
-    order = sorted(class_ids, key=lambda c: (-ratios[c], c))
+    if order is None:
+        order = sorted(class_ids, key=lambda c: (-ratios[c], c))
 
     populations: dict[ClassId, int] = {}
     budget = capacity - flow_cost

@@ -115,7 +115,7 @@ class AdaptiveGamma(GammaSchedule):
             raise ValueError("initial gamma must not be NaN")
         if not 0.0 < backoff < 1.0:
             raise ValueError(f"backoff must be in (0, 1), got {backoff}")
-        if increment < 0.0:
+        if not increment >= 0.0:  # NaN fails this too
             raise ValueError(f"increment must be non-negative, got {increment}")
         self._initial = min(max(initial, lower), upper)
         self._gamma = self._initial

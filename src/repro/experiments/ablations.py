@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 from repro.core.consumer_allocation import (
     NodeAllocation,
+    admit_in_order,
     allocate_consumers,
     benefit_cost_ratio,
 )
 from repro.core.convergence import iterations_until_convergence, oscillation_amplitude
 from repro.core.lrgp import LRGP, LRGPConfig
 from repro.experiments.reporting import TableResult, format_number
-from repro.model.entities import ClassId, FlowId, NodeId
+from repro.model.entities import FlowId, NodeId
 from repro.model.metrics import admission_fairness
 from repro.model.problem import Problem
 from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
@@ -41,65 +42,11 @@ DEFAULT_ITERATIONS = 250
 # ---------------------------------------------------------------------------
 
 
-def _fill_in_order(
-    problem: Problem,
-    node_id: NodeId,
-    rates: Mapping[FlowId, float],
-    order: list[ClassId],
-) -> NodeAllocation:
-    """Shared fill loop: admit classes to saturation in the given order."""
-    capacity = problem.nodes[node_id].capacity
-    flow_cost = sum(
-        problem.costs.flow_node(node_id, flow_id) * rates.get(flow_id, 0.0)
-        for flow_id in problem.flows_at_node(node_id)
-    )
-    ratios = {
-        class_id: benefit_cost_ratio(
-            problem, node_id, class_id,
-            rates.get(problem.flow_of_class(class_id), 0.0),
-        )
-        for class_id in problem.classes_at_node(node_id)
-    }
-    populations: dict[ClassId, int] = {}
-    budget = capacity - flow_cost
-    consumer_cost = 0.0
-    for class_id in order:
-        cls = problem.classes[class_id]
-        unit_cost = problem.costs.consumer(node_id, class_id) * rates.get(
-            cls.flow_id, 0.0
-        )
-        if unit_cost <= 0.0:
-            populations[class_id] = cls.max_consumers
-            continue
-        if budget <= 0.0:
-            populations[class_id] = 0
-            continue
-        admitted = min(cls.max_consumers, int(budget / unit_cost + 1e-9))
-        populations[class_id] = admitted
-        budget -= admitted * unit_cost
-        consumer_cost += admitted * unit_cost
-    unsatisfied = [
-        ratios[class_id]
-        for class_id in problem.classes_at_node(node_id)
-        if populations[class_id] < problem.classes[class_id].max_consumers
-        and math.isfinite(ratios[class_id])
-    ]
-    return NodeAllocation(
-        node_id=node_id,
-        populations=populations,
-        used=flow_cost + consumer_cost,
-        best_unsatisfied_ratio=max(unsatisfied, default=0.0),
-        ratios=ratios,
-    )
-
-
 def fifo_admission(
     problem: Problem, node_id: NodeId, rates: Mapping[FlowId, float]
 ) -> NodeAllocation:
     """Admit classes in class-id order, ignoring benefit/cost."""
-    return _fill_in_order(
-        problem, node_id, rates, list(problem.classes_at_node(node_id))
-    )
+    return admit_in_order(problem, node_id, rates, problem.classes_at_node(node_id))
 
 
 def make_random_admission(seed: int = 0):
@@ -111,7 +58,7 @@ def make_random_admission(seed: int = 0):
     ) -> NodeAllocation:
         order = list(problem.classes_at_node(node_id))
         rng.shuffle(order)
-        return _fill_in_order(problem, node_id, rates, order)
+        return admit_in_order(problem, node_id, rates, order)
 
     return random_admission
 

@@ -327,21 +327,6 @@ def extension_communication(rounds: int = 30) -> TableResult:
     )
 
 
-def _chaos_runtime(problem, plan, *, seed: float, horizon: float):
-    """One asynchronous run to the horizon, retries on, faults optional."""
-    from repro.events.reliability import RetryPolicy
-    from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
-
-    runtime = AsynchronousRuntime(
-        problem,
-        AsyncConfig(seed=seed),
-        fault_plan=plan,
-        retry=RetryPolicy(),
-    )
-    runtime.run_until(horizon)
-    return runtime
-
-
 def samples_to_plateau(
     samples,
     *,
@@ -384,6 +369,7 @@ def fault_recovery_detail(
     Both modes checkpoint every 5 time units; ``cold=True`` merely skips
     the restore at restart, isolating the value of the checkpoint itself.
     """
+    from repro.runtime.asynchronous import run_chaos
     from repro.runtime.faults import CrashFault, FaultPlan
 
     problem = base_workload()
@@ -396,7 +382,7 @@ def fault_recovery_detail(
         ),
         checkpoint_interval=5.0,
     )
-    runtime = _chaos_runtime(problem, plan, seed=seed, horizon=horizon)
+    runtime = run_chaos(problem, plan, seed=seed, horizon=horizon)
     # The sample *at* the crash instant already reflects the crash (fault
     # events scheduled earlier sort first at equal timestamps), so the
     # pre-fault utility is the last sample strictly before it.
@@ -429,6 +415,7 @@ def extension_fault_recovery(
     :class:`~repro.runtime.faults.FaultPlan`\\ s of rising crash rate and
     report utility retention against the fault-free run.
     """
+    from repro.runtime.asynchronous import retention, run_chaos
     from repro.runtime.faults import FaultPlan
 
     rows = []
@@ -445,8 +432,7 @@ def extension_fault_recovery(
             )
         )
     problem = base_workload()
-    baseline = _chaos_runtime(problem, None, seed=seed, horizon=horizon)
-    baseline_utility = baseline.converged_utility()
+    baseline = run_chaos(problem, None, seed=seed, horizon=horizon)
     for rate in fault_rates:
         plan = FaultPlan.random(
             problem,
@@ -456,7 +442,8 @@ def extension_fault_recovery(
             mean_downtime=5.0,
             warmup=150.0,
         )
-        runtime = _chaos_runtime(problem, plan, seed=seed, horizon=horizon)
+        runtime = run_chaos(problem, plan, seed=seed, horizon=horizon)
+        ratio = retention(runtime, baseline)
         recoveries = runtime.recoveries
         mean_recovery = (
             sum(r.recovery_time for r in recoveries) / len(recoveries)
@@ -469,7 +456,7 @@ def extension_fault_recovery(
                 str(len(plan.crashes)),
                 f"{mean_recovery:.1f}",
                 "-",
-                f"{100.0 * runtime.converged_utility() / baseline_utility:.2f}%",
+                "-" if ratio is None else f"{100.0 * ratio:.2f}%",
             )
         )
     return TableResult(

@@ -8,7 +8,8 @@ centrally; this package deploys the same algorithms as communicating agents:
 * :class:`AsynchronousRuntime` — discrete-event execution with jittered
   clocks, message latency/loss and price averaging (section 3.5), plus
   sequence-numbered exchanges, acknowledged rate announcements and
-  checkpoint/restart fault tolerance;
+  checkpoint/restart fault tolerance; :func:`run_chaos` is its one chaos
+  run and :func:`retention` compares it with its fault-free twin;
 * :mod:`repro.runtime.faults` — deterministic failure injection
   (:class:`FaultPlan`: crashes, partitions, delay storms) and the
   recovery-time bookkeeping (:class:`RecoveryRecord`).
@@ -25,7 +26,7 @@ from repro.runtime.agents import (
     node_address,
     source_address,
 )
-from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
+from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime, retention, run_chaos
 from repro.runtime.faults import (
     CrashFault,
     DelayStorm,
@@ -76,5 +77,7 @@ __all__ = [
     "link_address",
     "merge_populations",
     "node_address",
+    "retention",
+    "run_chaos",
     "source_address",
 ]

@@ -657,3 +657,57 @@ class AsynchronousRuntime:
         if not values:
             raise RuntimeError("no samples recorded yet; call run_until first")
         return math.fsum(values) / len(values)
+
+    def message_counters(self) -> dict[str, int]:
+        """The message-layer counters, as chaos reports print them."""
+        return {
+            "messages_sent": self.messages_sent,
+            "messages_lost": self.messages_lost,
+            "messages_stale": self.messages_stale,
+            "messages_to_down": self.messages_to_down,
+            "messages_partitioned": self.messages_partitioned,
+            "retransmissions": self.retransmissions,
+            "retries_abandoned": self.retries_abandoned,
+        }
+
+
+def run_chaos(
+    problem: Problem,
+    plan: FaultPlan | None,
+    *,
+    seed: int,
+    horizon: float,
+    telemetry: Telemetry = NULL_TELEMETRY,
+) -> AsynchronousRuntime:
+    """Run the chaos deployment under ``plan`` to ``horizon``; return it.
+
+    The deployment is the asynchronous runtime seeded with ``seed``, its
+    rate announcements acknowledged under the default
+    :class:`~repro.events.reliability.RetryPolicy`.  ``plan=None`` is its
+    fault-free twin, the baseline :func:`retention` divides by.
+    ``repro chaos``, sweep fault cells and extension E8 all run here.
+    """
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon}")
+    runtime = AsynchronousRuntime(
+        problem,
+        AsyncConfig(seed=seed),
+        telemetry=telemetry,
+        fault_plan=plan,
+        retry=RetryPolicy(),
+    )
+    runtime.run_until(horizon)
+    return runtime
+
+
+def retention(
+    faulted: AsynchronousRuntime, baseline: AsynchronousRuntime
+) -> float | None:
+    """Converged utility of a faulted run over its fault-free twin's.
+
+    ``baseline`` is :func:`run_chaos` with ``plan=None`` and the same
+    problem, seed and horizon, so the two runs differ only by the faults.
+    ``None`` when the twin converges to zero utility.
+    """
+    reference = baseline.converged_utility()
+    return faulted.converged_utility() / reference if reference else None

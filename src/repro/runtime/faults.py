@@ -28,8 +28,10 @@ trajectory.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.model.problem import Problem
 from repro.runtime.agents import link_address, node_address, source_address
@@ -50,9 +52,10 @@ class CrashFault:
     cold: bool = False
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
+        # Every check is written so that NaN fails it.
+        if not self.at >= 0.0:
             raise ValueError(f"crash time must be non-negative, got {self.at}")
-        if self.restart_after is not None and self.restart_after <= 0.0:
+        if self.restart_after is not None and not self.restart_after > 0.0:
             raise ValueError(
                 f"restart_after must be positive, got {self.restart_after}"
             )
@@ -73,9 +76,9 @@ class PartitionFault:
     isolated: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
+        if not self.at >= 0.0:
             raise ValueError(f"partition time must be non-negative, got {self.at}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if not self.isolated:
             raise ValueError("a partition must isolate at least one agent")
@@ -96,11 +99,11 @@ class DelayStorm:
     factor: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
+        if not self.at >= 0.0:
             raise ValueError(f"storm time must be non-negative, got {self.at}")
-        if self.duration <= 0.0:
+        if not self.duration > 0.0:
             raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.factor < 1.0:
+        if not self.factor >= 1.0:
             raise ValueError(
                 f"a delay storm slows messages down: factor >= 1, got {self.factor}"
             )
@@ -113,6 +116,54 @@ def agent_addresses(problem: Problem) -> tuple[str, ...]:
     addresses.extend(node_address(node_id) for node_id in problem.consumer_nodes())
     addresses.extend(link_address(link_id) for link_id in problem.bottleneck_links())
     return tuple(sorted(addresses))
+
+
+@dataclass(frozen=True)
+class RandomPlanParams:
+    """The parameters of :meth:`FaultPlan.random`, checked when built.
+
+    This is the one set of checks for a random plan: the generator runs
+    them, and so does a sweep cell's ``fault_plan`` before any problem
+    exists to draw against.  Each check is written so that NaN fails it,
+    and the horizon, warmup, rates and means must be finite: the arrival
+    loop runs until it passes the horizon.
+    """
+
+    horizon: float
+    crash_rate: float = 0.01
+    mean_downtime: float = 5.0
+    cold_probability: float = 0.0
+    partition_rate: float = 0.0
+    mean_partition: float = 10.0
+    storm_rate: float = 0.0
+    mean_storm: float = 10.0
+    storm_factor: float = 10.0
+    warmup: float = 0.0
+    checkpoint_interval: float | None = 5.0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.warmup < self.horizon < math.inf:
+            raise ValueError(
+                "need a finite horizon above a non-negative warmup, got "
+                f"horizon {self.horizon} and warmup {self.warmup}"
+            )
+        for name in ("crash_rate", "partition_rate", "storm_rate"):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {rate}")
+        for name in ("mean_downtime", "mean_partition", "mean_storm"):
+            mean = getattr(self, name)
+            if not 0.0 < mean < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {mean}")
+        if not 0.0 <= self.cold_probability <= 1.0:
+            raise ValueError(
+                f"cold_probability must be in [0, 1], got {self.cold_probability}"
+            )
+        if not 1.0 <= self.storm_factor < math.inf:
+            raise ValueError(
+                f"storm_factor must be finite and >= 1, got {self.storm_factor}"
+            )
+        FaultPlan(checkpoint_interval=self.checkpoint_interval)  # its own check
 
 
 @dataclass(frozen=True)
@@ -135,7 +186,7 @@ class FaultPlan:
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "partitions", tuple(self.partitions))
         object.__setattr__(self, "storms", tuple(self.storms))
-        if self.checkpoint_interval is not None and self.checkpoint_interval <= 0.0:
+        if self.checkpoint_interval is not None and not self.checkpoint_interval > 0.0:
             raise ValueError(
                 f"checkpoint_interval must be positive, got {self.checkpoint_interval}"
             )
@@ -158,53 +209,38 @@ class FaultPlan:
             named.update(partition.isolated)
         return frozenset(named)
 
+    def summary(self) -> dict[str, int | float | None]:
+        """Fault counts and checkpoint interval, as chaos reports print them."""
+        return {
+            "crashes": len(self.crashes),
+            "partitions": len(self.partitions),
+            "storms": len(self.storms),
+            "checkpoint_interval": self.checkpoint_interval,
+        }
+
     @staticmethod
     def random(
-        problem: Problem,
-        seed: int,
-        horizon: float,
-        crash_rate: float = 0.01,
-        mean_downtime: float = 5.0,
-        cold_probability: float = 0.0,
-        partition_rate: float = 0.0,
-        mean_partition: float = 10.0,
-        storm_rate: float = 0.0,
-        mean_storm: float = 10.0,
-        storm_factor: float = 10.0,
-        warmup: float = 0.0,
-        checkpoint_interval: float | None = 5.0,
+        problem: Problem, seed: int, horizon: float, **params: Any
     ) -> "FaultPlan":
         """A seeded random plan against ``problem``'s agent fleet.
 
-        Fault arrivals are Poisson processes over ``(warmup, horizon)``:
-        ``crash_rate`` / ``partition_rate`` / ``storm_rate`` are expected
-        events per time unit across the whole fleet; downtimes and window
-        lengths are exponential with the given means (floored at one tenth
-        of the mean so zero-length windows cannot occur).  The same
+        ``params`` are the other fields of :class:`RandomPlanParams`,
+        which holds their defaults and checks them.  Fault arrivals are
+        Poisson processes over ``(warmup, horizon)``: ``crash_rate`` /
+        ``partition_rate`` / ``storm_rate`` are expected events per time
+        unit across the whole fleet; downtimes and window lengths are
+        exponential with the given means (floored at one tenth of the
+        mean so zero-length windows cannot occur).  The same
         ``(problem, seed, ...)`` arguments always produce the same plan —
         there is no entropy-seeded path.
         """
-        if horizon <= warmup:
-            raise ValueError(
-                f"horizon {horizon} must exceed warmup {warmup}"
-            )
-        for name, rate in (
-            ("crash_rate", crash_rate),
-            ("partition_rate", partition_rate),
-            ("storm_rate", storm_rate),
-        ):
-            if rate < 0.0:
-                raise ValueError(f"{name} must be non-negative, got {rate}")
-        if not 0.0 <= cold_probability <= 1.0:
-            raise ValueError(
-                f"cold_probability must be in [0, 1], got {cold_probability}"
-            )
+        knobs = RandomPlanParams(horizon=horizon, **params)
         rng = random.Random(seed)
         fleet = agent_addresses(problem)
 
         def arrivals(rate: float) -> list[float]:
             times: list[float] = []
-            now = warmup
+            now = knobs.warmup
             while rate > 0.0:
                 now += rng.expovariate(rate)
                 if now >= horizon:
@@ -219,28 +255,30 @@ class FaultPlan:
             CrashFault(
                 at=at,
                 address=rng.choice(fleet),
-                restart_after=window(mean_downtime),
-                cold=rng.random() < cold_probability,
+                restart_after=window(knobs.mean_downtime),
+                cold=rng.random() < knobs.cold_probability,
             )
-            for at in arrivals(crash_rate)
+            for at in arrivals(knobs.crash_rate)
         )
         partitions = tuple(
             PartitionFault(
                 at=at,
-                duration=window(mean_partition),
+                duration=window(knobs.mean_partition),
                 isolated=frozenset({rng.choice(fleet)}),
             )
-            for at in arrivals(partition_rate)
+            for at in arrivals(knobs.partition_rate)
         )
         storms = tuple(
-            DelayStorm(at=at, duration=window(mean_storm), factor=storm_factor)
-            for at in arrivals(storm_rate)
+            DelayStorm(
+                at=at, duration=window(knobs.mean_storm), factor=knobs.storm_factor
+            )
+            for at in arrivals(knobs.storm_rate)
         )
         return FaultPlan(
             crashes=crashes,
             partitions=partitions,
             storms=storms,
-            checkpoint_interval=checkpoint_interval,
+            checkpoint_interval=knobs.checkpoint_interval,
         )
 
 

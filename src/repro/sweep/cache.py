@@ -38,7 +38,9 @@ __all__ = [
 ]
 
 #: Bump to invalidate every existing entry (layout or semantics change).
-CACHE_SCHEMA_VERSION = 1
+#: 2: a fault cell's baseline is its fault-free twin with acknowledged
+#: delivery (``repro.runtime.run_chaos``), which moves its retention.
+CACHE_SCHEMA_VERSION = 2
 
 
 def cache_salt() -> dict[str, Any]:

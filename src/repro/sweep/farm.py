@@ -42,12 +42,12 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.core.gamma import FixedGamma
-from repro.obs import Telemetry
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.solve import solve
 from repro.sweep.cache import ResultCache
 from repro.sweep.ledger import RunLedger, ledger_record
 from repro.sweep.live import SweepProgress
-from repro.sweep.spec import RunConfig, SweepSpec, parse_gamma_policy
+from repro.sweep.spec import FAULT_HORIZON, RunConfig, SweepSpec, parse_gamma_policy
 from repro.sweep.telemetry import capture_bundle, telemetry_payload
 from repro.workloads.registry import workload_from_spec
 
@@ -129,62 +129,43 @@ def _fault_payload(
 ) -> dict[str, Any]:
     """Run the cell under its fault plan (the ``repro chaos`` protocol).
 
-    The faulted run and a fault-free baseline execute with the same seed;
-    *retention* is faulted converged utility over baseline converged
-    utility — the cell's headline fault-recovery metric.
+    :func:`~repro.runtime.asynchronous.run_chaos` runs the faulted
+    deployment and its fault-free twin with the same seed; *retention*
+    (:func:`~repro.runtime.asynchronous.retention`) is the cell's
+    headline fault-recovery metric.
     """
-    from repro.events.reliability import RetryPolicy
-    from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
+    from repro.runtime.asynchronous import retention, run_chaos
     from repro.runtime.faults import FaultPlan
 
     assert config.fault_plan is not None
     plan_params = dict(config.fault_plan)
-    horizon = plan_params.pop("horizon", 400.0)
+    horizon = plan_params.pop("horizon", FAULT_HORIZON)
     problem = workload_from_spec(config.workload)
     plan = FaultPlan.random(
         problem, seed=config.seed, horizon=horizon, **plan_params
     )
-    runtime = AsynchronousRuntime(
-        problem,
-        AsyncConfig(seed=config.seed),
-        fault_plan=plan,
-        retry=RetryPolicy(),
-        # The faulted run is the cell's subject; the fault-free baseline
-        # below runs untelemetered so capture measures one run, not two.
-        **({} if telemetry is None else {"telemetry": telemetry}),
+    # The faulted run is the cell's subject; its fault-free twin runs
+    # untelemetered so capture measures one run, not two.
+    runtime = run_chaos(
+        problem, plan, seed=config.seed, horizon=horizon,
+        telemetry=NULL_TELEMETRY if telemetry is None else telemetry,
     )
-    runtime.run_until(horizon)
-    baseline = AsynchronousRuntime(problem, AsyncConfig(seed=config.seed))
-    baseline.run_until(horizon)
+    baseline = run_chaos(problem, None, seed=config.seed, horizon=horizon)
 
     utility = runtime.converged_utility()
-    reference = baseline.converged_utility()
     recovery_times = [record.recovery_time for record in runtime.recoveries]
     return {
         "kind": "fault",
         "result": {
             "horizon": horizon,
             "utility": utility,
-            "baseline_utility": reference,
-            "plan": {
-                "crashes": len(plan.crashes),
-                "partitions": len(plan.partitions),
-                "storms": len(plan.storms),
-                "checkpoint_interval": plan.checkpoint_interval,
-            },
-            "counters": {
-                "messages_sent": runtime.messages_sent,
-                "messages_lost": runtime.messages_lost,
-                "messages_stale": runtime.messages_stale,
-                "messages_to_down": runtime.messages_to_down,
-                "messages_partitioned": runtime.messages_partitioned,
-                "retransmissions": runtime.retransmissions,
-                "retries_abandoned": runtime.retries_abandoned,
-            },
+            "baseline_utility": baseline.converged_utility(),
+            "plan": plan.summary(),
+            "counters": runtime.message_counters(),
         },
         "metrics": {
             "utility": utility,
-            "retention": (utility / reference) if reference else None,
+            "retention": retention(runtime, baseline),
             "recoveries": len(recovery_times),
             "mean_recovery_time": (
                 sum(recovery_times) / len(recovery_times)

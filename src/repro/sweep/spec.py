@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from repro.canonical import content_hash
 from repro.core.engines import available_engines
+from repro.core.gamma import FixedGamma
 from repro.solve import ENGINE_METHODS, available_methods
 from repro.workloads.registry import canonical_workload_spec
 
@@ -34,23 +35,8 @@ __all__ = ["RunConfig", "SweepSpec", "load_spec", "parse_gamma_policy"]
 #: Methods whose gamma-policy axis is meaningful (they build LRGPConfig).
 GAMMA_METHODS = frozenset({"lrgp", "two_stage", "multirate"})
 
-#: Fault-plan parameters accepted by a cell (a subset of
-#: ``FaultPlan.random``'s keywords plus the run horizon).
-_FAULT_PLAN_KEYS = frozenset(
-    {
-        "horizon",
-        "crash_rate",
-        "mean_downtime",
-        "cold_probability",
-        "partition_rate",
-        "mean_partition",
-        "storm_rate",
-        "mean_storm",
-        "storm_factor",
-        "warmup",
-        "checkpoint_interval",
-    }
-)
+#: Simulated time a fault cell runs when its plan names no ``horizon``.
+FAULT_HORIZON = 400.0
 
 
 def parse_gamma_policy(policy: str) -> tuple[str, float | None]:
@@ -60,14 +46,10 @@ def parse_gamma_policy(policy: str) -> tuple[str, float | None]:
     kind, sep, value = policy.partition(":")
     if kind == "fixed" and sep:
         try:
-            step = float(value)
-        except ValueError:
-            raise ValueError(
-                f"gamma policy {policy!r}: step {value!r} is not a number"
-            ) from None
-        if not step >= 0.0:  # also rejects NaN
-            raise ValueError(f"gamma policy {policy!r}: step must be >= 0")
-        return "fixed", step
+            # FixedGamma holds the one rule for a valid step.
+            return "fixed", FixedGamma(float(value)).gamma
+        except ValueError as error:
+            raise ValueError(f"gamma policy {policy!r}: {error}") from None
     raise ValueError(
         f"unknown gamma policy {policy!r}; expected 'adaptive' or 'fixed:<step>'"
     )
@@ -76,16 +58,26 @@ def parse_gamma_policy(policy: str) -> tuple[str, float | None]:
 def _normalize_fault_plan(
     plan: Mapping[str, float] | None,
 ) -> tuple[tuple[str, float], ...] | None:
-    """Sorted, validated (key, value) pairs — hashable and canonical."""
+    """Sorted, validated (key, value) pairs — hashable and canonical.
+
+    The values go through :class:`~repro.runtime.faults.RandomPlanParams`,
+    the generator's own checks, with :data:`FAULT_HORIZON` standing in for
+    an absent horizon, so a bad plan fails here rather than when its cell
+    runs.  The runtime is imported only for a cell that has a plan.
+    """
     if plan is None:
         return None
-    unknown = set(plan) - _FAULT_PLAN_KEYS
+    from repro.runtime.faults import RandomPlanParams
+
+    accepted = {f.name for f in fields(RandomPlanParams)}
+    unknown = set(plan) - accepted
     if unknown:
         raise ValueError(
             f"unknown fault-plan parameter(s) {sorted(unknown)}; "
-            f"accepted: {sorted(_FAULT_PLAN_KEYS)}"
+            f"accepted: {sorted(accepted)}"
         )
     items = tuple((key, float(plan[key])) for key in sorted(plan))
+    RandomPlanParams(**{"horizon": FAULT_HORIZON, **dict(items)})
     return items
 
 
@@ -202,15 +194,6 @@ class RunConfig:
         if self.repeat:
             parts.append(f"r{self.repeat}")
         return "/".join(parts)
-
-
-def _as_tuple(value: Sequence[Any] | None, fallback: tuple[Any, ...]) -> tuple[Any, ...]:
-    if value is None:
-        return fallback
-    result = tuple(value)
-    if not result:
-        raise ValueError("sweep axes must have at least one value")
-    return result
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,7 @@
   :data:`TABLE2_WORKLOADS` — the scalability study (section 4.3).
 * :mod:`repro.workloads.generator` — seeded random workloads.
 * :mod:`repro.workloads.scenarios` — the motivating scenarios of section 1.1.
-* :mod:`repro.workloads.dynamics` — workload and fault churn; import the
-  submodule itself, since it loads the runtime that ``import repro`` skips.
+* :mod:`repro.workloads.dynamics` — workload and capacity churn over time.
 """
 
 from repro.workloads.base import (

@@ -14,11 +14,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.core.lrgp import LRGP, LRGPConfig
-from repro.events.reliability import RetryPolicy
 from repro.model.problem import Problem
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
-from repro.runtime.faults import FaultPlan
 from repro.workloads.base import base_workload
 
 #: A mutation takes the current problem and returns the new problem.
@@ -84,65 +80,6 @@ class DynamicScenario:
                 optimizer.set_problem(change.mutate(optimizer.problem))
                 run.events.append((iteration, change.label))
         return run
-
-
-@dataclass(frozen=True)
-class ChaosScenario:
-    """Churn-under-faults: the asynchronous deployment driven through a
-    seeded :class:`~repro.runtime.faults.FaultPlan`.
-
-    Where :class:`DynamicScenario` scripts *workload* churn against the
-    centralized driver, this scripts *infrastructure* churn — agent
-    crashes, partitions, delay storms — against the distributed runtime.
-    """
-
-    problem: Problem
-    plan: FaultPlan
-    horizon: float = 400.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-
-    def run(self, telemetry: Telemetry = NULL_TELEMETRY) -> AsynchronousRuntime:
-        """Execute to the horizon; returns the finished runtime (samples,
-        recovery records and fault counters attached)."""
-        runtime = AsynchronousRuntime(
-            self.problem,
-            AsyncConfig(seed=self.seed),
-            fault_plan=self.plan,
-            retry=RetryPolicy(),
-            telemetry=telemetry,
-        )
-        runtime.run_until(self.horizon)
-        return runtime
-
-
-def fault_churn_scenario(
-    seed: int = 0,
-    horizon: float = 400.0,
-    crash_rate: float = 0.01,
-    warmup: float = 60.0,
-) -> ChaosScenario:
-    """The bundled chaos scenario: the base workload's agent fleet under a
-    seeded mix of crashes (with checkpoint restarts), one-agent partitions
-    and delay storms, starting after a convergence warmup."""
-    problem = base_workload()
-    plan = FaultPlan.random(
-        problem,
-        seed=seed,
-        horizon=horizon,
-        crash_rate=crash_rate,
-        mean_downtime=8.0,
-        partition_rate=crash_rate / 4.0,
-        mean_partition=10.0,
-        storm_rate=crash_rate / 4.0,
-        mean_storm=10.0,
-        storm_factor=5.0,
-        warmup=warmup,
-    )
-    return ChaosScenario(problem=problem, plan=plan, horizon=horizon, seed=seed)
 
 
 def churn_scenario(total_iterations: int = 300) -> DynamicScenario:

@@ -252,24 +252,6 @@ def _generated(seed: int = 0, **params: Any) -> Problem:
     return generate_workload(GeneratorConfig(**params), seed=seed)
 
 
-def _fault_churn(
-    seed: int = 0,
-    horizon: float = 400.0,
-    crash_rate: float = 0.01,
-    warmup: float = 60.0,
-) -> Problem:
-    """The problem under the bundled chaos scenario (base workload).
-
-    The scenario's fault plan is reconstructed from the same parameters
-    by the chaos runner; the registry only hands out problems.
-    """
-    from repro.workloads.dynamics import fault_churn_scenario
-
-    return fault_churn_scenario(
-        seed=seed, horizon=horizon, crash_rate=crash_rate, warmup=warmup
-    ).problem
-
-
 def _bottleneck(**params: Any) -> Problem:
     """Shared-uplink workload; the historical CLI capacity is the default."""
     return link_bottleneck_workload(**{"link_capacity": 100.0, **params})
@@ -348,12 +330,6 @@ register_workload(
     _latest_price,
     "section 1.1 Latest Price scenario (filtered elastic updates)",
     {"consumer_nodes": 2, "consumers_per_class": 2000},
-)
-register_workload(
-    "fault-churn",
-    _fault_churn,
-    "base workload under the bundled chaos scenario (problem only)",
-    {"seed": 0, "horizon": 400.0, "crash_rate": 0.01, "warmup": 60.0},
 )
 
 # Stable convenience aliases (the scalability-study grid of section 4.3).

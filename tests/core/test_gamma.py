@@ -110,6 +110,10 @@ class TestNonFiniteGammaHardening:
         with pytest.raises(ValueError):
             AdaptiveGamma(initial=math.nan)
 
+    def test_adaptive_gamma_rejects_nan_increment(self):
+        with pytest.raises(ValueError, match="increment"):
+            AdaptiveGamma(increment=math.nan)
+
     def test_adaptive_gamma_rejects_nan_bounds(self):
         with pytest.raises(ValueError):
             AdaptiveGamma(lower=math.nan)

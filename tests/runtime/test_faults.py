@@ -6,11 +6,18 @@ semantics, recovery-time bookkeeping, and the hardened message layer
 (sequence numbers, stale rejection, bounded retry).
 """
 
+import math
+
 import pytest
 
 from repro.events.reliability import RetryPolicy
 from repro.obs import MemorySink, Telemetry
-from repro.runtime.asynchronous import AsyncConfig, AsynchronousRuntime
+from repro.runtime.asynchronous import (
+    AsyncConfig,
+    AsynchronousRuntime,
+    retention,
+    run_chaos,
+)
 from repro.runtime.faults import (
     CrashFault,
     DelayStorm,
@@ -51,6 +58,16 @@ class TestFaultPlanValidation:
             FaultPlan(recovery_threshold=0.0)
         with pytest.raises(ValueError):
             FaultPlan(recovery_threshold=1.5)
+
+    def test_fault_records_reject_nan(self):
+        with pytest.raises(ValueError):
+            CrashFault(at=1.0, address="node:S", restart_after=math.nan)
+        with pytest.raises(ValueError):
+            PartitionFault(at=math.nan, duration=1.0, isolated=frozenset({"node:S"}))
+        with pytest.raises(ValueError):
+            DelayStorm(at=1.0, duration=1.0, factor=math.nan)
+        with pytest.raises(ValueError):
+            FaultPlan(checkpoint_interval=math.nan)
 
     def test_plan_bool_and_count(self):
         assert not FaultPlan()
@@ -109,6 +126,48 @@ class TestFaultPlanGeneration:
             FaultPlan.random(
                 tiny_problem, seed=0, horizon=10.0, cold_probability=2.0
             )
+
+    @pytest.mark.parametrize("knob", ["crash_rate", "mean_downtime"])
+    def test_generation_rejects_nan(self, tiny_problem, knob):
+        # Only generation is exercised: a NaN horizon must never reach
+        # the arrival loop, which would not terminate.
+        with pytest.raises(ValueError, match=knob):
+            FaultPlan.random(tiny_problem, seed=0, horizon=100.0, **{knob: math.nan})
+
+
+class TestChaosRun:
+    def test_fault_free_twin_is_the_same_deployment_with_retries(self, tiny_problem):
+        twin = run_chaos(tiny_problem, None, seed=3, horizon=60.0)
+        manual = AsynchronousRuntime(
+            tiny_problem, AsyncConfig(seed=3), retry=RetryPolicy()
+        )
+        manual.run_until(60.0)
+        assert twin.samples == manual.samples
+        assert twin.message_counters() == {
+            "messages_sent": manual.messages_sent,
+            "messages_lost": manual.messages_lost,
+            "messages_stale": manual.messages_stale,
+            "messages_to_down": manual.messages_to_down,
+            "messages_partitioned": manual.messages_partitioned,
+            "retransmissions": manual.retransmissions,
+            "retries_abandoned": manual.retries_abandoned,
+        }
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0])
+    def test_rejects_a_horizon_the_run_cannot_reach(self, tiny_problem, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            run_chaos(tiny_problem, None, seed=0, horizon=horizon)
+
+    def test_retention_is_none_against_a_zero_baseline(self):
+        class Converged:
+            def __init__(self, utility):
+                self.utility = utility
+
+            def converged_utility(self):
+                return self.utility
+
+        assert retention(Converged(3.0), Converged(2.0)) == 1.5
+        assert retention(Converged(3.0), Converged(0.0)) is None
 
 
 def crash_plan(address, at=40.0, restart_after=5.0, cold=False, **kwargs):

@@ -22,6 +22,11 @@ class TestGammaPolicy:
         with pytest.raises(ValueError):
             parse_gamma_policy(policy)
 
+    @pytest.mark.parametrize("policy", ["fixed:inf", "fixed:nan"])
+    def test_rejects_a_step_fixed_gamma_rejects(self, policy):
+        with pytest.raises(ValueError, match="gamma policy .* finite"):
+            RunConfig(gamma=policy)
+
 
 class TestRunConfig:
     def test_defaults_are_valid(self):
@@ -64,6 +69,27 @@ class TestRunConfig:
     def test_unknown_fault_plan_key_rejected(self):
         with pytest.raises(ValueError, match="unknown fault-plan"):
             RunConfig(fault_plan=(("explosion_rate", 1.0),))
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            (("crash_rate", -1.0),),
+            (("crash_rate", float("nan")),),
+            (("mean_downtime", float("nan")),),
+            # The farm's default horizon is 400, so this warmup never ends.
+            (("warmup", 500.0),),
+            (("horizon", float("nan")),),
+            (("horizon", float("inf")),),
+            (("checkpoint_interval", float("nan")),),
+        ],
+        ids=[
+            "negative-crash-rate", "nan-crash-rate", "nan-mean-downtime",
+            "warmup-past-horizon", "nan-horizon", "inf-horizon", "nan-checkpoint",
+        ],
+    )
+    def test_bad_fault_plan_value_rejected_at_construction(self, plan):
+        with pytest.raises(ValueError):
+            RunConfig(workload="micro", fault_plan=plan)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -71,6 +71,10 @@ class TestOptimizeCommand:
         ) == 0
         assert "stable by" in capsys.readouterr().out
 
+    def test_bad_gamma_exits_with_the_message(self):
+        with pytest.raises(SystemExit, match="gamma must be finite"):
+            main(["optimize", "micro", "--gamma", "-1"])
+
     def test_writes_allocation_and_trace(self, tmp_path, capsys):
         allocation_path = tmp_path / "alloc.json"
         trace_path = tmp_path / "trace.csv"
@@ -217,6 +221,47 @@ class TestChaosCommand:
         assert payload["retention"] == pytest.approx(1.0, rel=0.05)
         assert payload["recoveries"]
         assert payload["recoveries"][0]["from_checkpoint"] is True
+
+    def test_json_report_matches_the_sweep_fault_cell(self, capsys):
+        from repro.sweep import RunConfig, execute_run
+
+        assert main([*self.ARGS, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        cell = execute_run(
+            RunConfig(
+                workload="micro",
+                seed=0,
+                fault_plan=(
+                    ("horizon", 120.0), ("crash_rate", 0.03), ("warmup", 40.0),
+                ),
+            )
+        )
+        assert report["utility"] == cell["result"]["utility"]
+        assert report["baseline_utility"] == cell["result"]["baseline_utility"]
+        assert report["retention"] == cell["metrics"]["retention"]
+        assert report["plan"] == cell["result"]["plan"]
+        assert report["counters"] == cell["result"]["counters"]
+
+    def test_baseline_is_the_same_deployment_without_a_plan(self, capsys):
+        from repro.runtime import run_chaos
+
+        assert main([*self.ARGS, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        twin = run_chaos(load_problem("micro"), None, seed=0, horizon=120.0)
+        assert report["baseline_utility"] == twin.converged_utility()
+
+    def test_zero_baseline_reports_no_retention(self, capsys, monkeypatch):
+        import repro.runtime.asynchronous as asynchronous
+
+        monkeypatch.setattr(asynchronous, "retention", lambda faulted, twin: None)
+        assert main([*self.ARGS, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["retention"] is None
+        assert main(self.ARGS) == 0
+        assert "(n/a of fault-free run)" in capsys.readouterr().out
+
+    def test_bad_plan_exits_with_the_message(self):
+        with pytest.raises(SystemExit, match="crash_rate must be"):
+            main(["chaos", "micro", "--crash-rate", "-1"])
 
     def test_no_checkpoint_forces_cold_restarts(self, capsys):
         assert main([*self.ARGS, "--no-checkpoint", "--json"]) == 0

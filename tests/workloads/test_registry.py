@@ -46,7 +46,7 @@ class TestRegistryListing:
     def test_core_names_registered(self):
         names = list_workloads()
         for expected in ("micro", "base", "flows", "cnodes", "tree",
-                         "bottleneck", "generated", "fault-churn"):
+                         "bottleneck", "generated"):
             assert expected in names
 
     def test_listing_is_sorted(self):
