@@ -27,8 +27,9 @@ small fraction of the dense one.
 
 The ``phases`` section splits a warm step of the 1k-flow leg into the
 engine's profiler phases (``argmax`` / ``admission`` / ``price_update``,
-plus the iteration's own glue), per step in ns; the parts sum exactly to
-the measured iteration wall.  It is recorded with a profiler-only
+plus the iteration's own glue), per step in ns, after the same 30
+untimed steps as the ``fabric-1k`` benchmark workload; the parts sum
+exactly to the measured iteration wall.  It is recorded with a profiler-only
 telemetry bundle, so no price probes distort it.
 
 The ``rebind`` section times ``LRGP.set_problem`` on the 256-flow churn
@@ -111,6 +112,10 @@ DISPATCH_WORKLOADS: tuple[tuple[str, Callable[[], Problem]], ...] = (
 
 #: Profiler phases of one vectorized step, in the order they run.
 STEP_PHASES = ("argmax", "admission", "price_update")
+#: Untimed steps before the 1k-flow phase split, as the ``fabric-1k``
+#: benchmark workload warms up: admission's contended order settles over
+#: the first steps and is reused from then on.
+PHASE_WARMUP_ITERATIONS = 30
 #: Timed steps of the 1k-flow phase split.
 PHASE_TIMED_ITERATIONS = 50
 
@@ -203,7 +208,7 @@ def phase_split() -> dict[str, object]:
         problem, LRGPConfig.adaptive(telemetry=telemetry), engine="vectorized"
     )
     # Bare steps, not run(): the phase paths then start at "iteration".
-    for _ in range(SCALE_WARMUP_ITERATIONS):
+    for _ in range(PHASE_WARMUP_ITERATIONS):
         optimizer.step()
     profiler.reset()
     for _ in range(PHASE_TIMED_ITERATIONS):
@@ -220,6 +225,7 @@ def phase_split() -> dict[str, object]:
     per_step["iteration"] = iteration.wall_ns / PHASE_TIMED_ITERATIONS
     return {
         "workload": SCALE_WORKLOAD,
+        "warmup_iterations": PHASE_WARMUP_ITERATIONS,
         "timed_iterations": PHASE_TIMED_ITERATIONS,
         "per_step_ns": per_step,
         "share": {

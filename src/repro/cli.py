@@ -969,11 +969,15 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_fault_plan_value(text: str) -> dict[str, float] | None:
-    """One ``--fault-plan`` axis value: ``none`` or ``k=v[,k=v...]``."""
+def _parse_fault_plan_value(text: str) -> dict[str, float | None] | None:
+    """One ``--fault-plan`` axis value: ``none`` or ``k=v[,k=v...]``.
+
+    A ``v`` of ``none`` passes ``None`` on, which ``checkpoint_interval``
+    alone accepts (checkpointing off, as ``repro chaos --no-checkpoint``).
+    """
     if text.strip().lower() == "none":
         return None
-    plan: dict[str, float] = {}
+    plan: dict[str, float | None] = {}
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -984,6 +988,9 @@ def _parse_fault_plan_value(text: str) -> dict[str, float] | None:
                 f"malformed fault-plan parameter {part!r} in {text!r}; "
                 "expected k=v"
             )
+        if value.strip().lower() == "none":
+            plan[key.strip()] = None
+            continue
         try:
             plan[key.strip()] = float(value)
         except ValueError:
@@ -1735,7 +1742,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument(
         "--fault-plan", dest="fault_plans", action="append",
         metavar="k=v[,k=v...]",
-        help="fault-plan axis value; 'none' = fault-free (repeatable)",
+        help="fault-plan axis value; 'none' = fault-free, "
+        "checkpoint_interval=none = cold restarts only (repeatable)",
     )
     sweep_run.add_argument(
         "--iterations", dest="iterations", action="append", type=int,

@@ -15,10 +15,11 @@ as batched array ops (:class:`VectorizedEngine`):
   solver (:func:`~repro.utility.calculus.solve_rate`) itself, per flow.
 * **Consumer allocation** (Algorithm 2, eq. 10-11) — a *presorted greedy
   fill*: classes that saturate in any order are admitted by one masked
-  assignment, the contended rest is ordered by one stable ``lexsort`` per
-  step (the reference order), and a scalar loop over plain Python floats
-  fills each node's budget in that order until it provably admits nothing
-  more.  Admission counts match the reference bit for bit.
+  assignment, the contended rest is ordered by one stable ``lexsort`` (the
+  reference order), kept across steps for as long as it still holds, and a
+  scalar loop over plain Python floats fills each node's budget in that
+  order until it provably admits nothing more.  Admission counts match
+  the reference bit for bit.
 * **Price updates** (eq. 12-13) — eq. 13 is one elementwise
   ``max(p + γ(u - c), 0)`` over the link axis (10k+ links on datacenter
   fabrics), bit-identical to the scalar controller.  Eq. 12 and its
@@ -545,6 +546,49 @@ def _carry(old: _ArrayT, index: IntArray, fresh: _ArrayT) -> _ArrayT:
     return fresh
 
 
+class _FillOrder:
+    """The contended fill order of admission's last sort, kept across steps.
+
+    ``mask`` holds the bytes of the saturation mask the order was sorted
+    under, ``order`` the contended class positions in fill order, ``sizes``
+    the contended classes per node and ``caps`` their ``n^max`` in fill
+    order.  The pair masks :meth:`holds` reads are built at the order's
+    first reuse, so an order that is never reused costs nothing beyond its
+    sort.
+    """
+
+    __slots__ = ("mask", "order", "sizes", "caps", "pairs")
+
+    def __init__(
+        self, mask: bytes, order: IntArray, sizes: list[int], caps: list[int]
+    ) -> None:
+        self.mask = mask
+        self.order = order
+        self.sizes = sizes
+        self.caps = caps
+        self.pairs: tuple[NDArray[np.bool_], NDArray[np.bool_]] | None = None
+
+    def holds(self, ratios: FloatArray, class_node: IntArray) -> bool:
+        """Whether ``np.lexsort((-ratio, node))`` would still give this order.
+
+        ``ratios`` are this step's, in the kept order.  Within a node each
+        adjacent pair must descend in ratio, or tie at ascending class
+        positions; a pair across a node boundary always passes.  A NaN
+        fails, so the sort that puts it last runs again.
+        """
+        if self.pairs is None:
+            order = self.order
+            node = class_node[order]
+            self.pairs = (order[:-1] < order[1:], node[:-1] != node[1:])
+        ascending, boundary = self.pairs
+        head = ratios[:-1]
+        tail = ratios[1:]
+        ok = head > tail
+        ok |= (head == tail) & ascending
+        ok |= boundary
+        return np.count_nonzero(ok) == ok.size
+
+
 class VectorizedEngine(LRGPEngine):
     """Runs the full LRGP iteration as numpy array ops on lowered state.
 
@@ -610,6 +654,9 @@ class VectorizedEngine(LRGPEngine):
     def bind(self, problem: Problem, preserve_state: bool) -> None:
         config = self._config
         previous = self._compiled if preserve_state else None
+        # A kept fill order belongs to the old problem, even one with the
+        # same class count.
+        self._fill_order: _FillOrder | None = None
         # Lowering is the one compile-shaped cost of a (re)bind, so it gets
         # its own profiler phase; the reference engine has no counterpart
         # (its pinned phase tree is untouched).
@@ -847,7 +894,11 @@ class VectorizedEngine(LRGPEngine):
         The remaining *contended* classes get their ratios (eq. 10) and
         are ordered by one stable ``lexsort`` on (node, descending ratio);
         stability breaks ties by class position, i.e. class id — exactly
-        the reference's sort key.  The budget fill then walks that order as
+        the reference's sort key.  Prices converge, so the order soon stops
+        changing: the engine keeps the last sort's order and reuses it
+        while the contended set is unchanged and :meth:`_FillOrder.holds`
+        finds it is still exactly what the ``lexsort`` would give, and
+        sorts again otherwise.  The budget fill then walks that order as
         a scalar loop over plain Python floats, with the reference's
         flooring and sequential ``budget -= spent``, so admission counts
         match it bit for bit.  A node's fill stops once its budget is below
@@ -884,32 +935,50 @@ class VectorizedEngine(LRGPEngine):
         # it (0 where no class is chargeable).
         consumer_total = need.tolist()
         best = [0.0] * n_nodes
-        contended = (~saturated).nonzero()[0]
-        if not contended.size:
-            return populations, (flow_cost + need).tolist(), best
-
-        contended_node = class_node[contended]
-        costs = unit_cost[contended]
         # Eq. 10; contended classes are chargeable, so costs are > 0.
         # Saturated classes never enter BC(b,t), so they need no ratio.
-        ratios = values[contended] / costs
-        rank = np.lexsort((-ratios, contended_node))
-        order = contended[rank]
-        costs = costs[rank]
+        # The kept order applies only to the contended set it was sorted
+        # for.  The mask's bytes compare in one memcmp; np.array_equal costs
+        # a few microseconds even on a 20-class problem.
+        mask = saturated.tobytes()
+        kept = self._fill_order
+        if kept is not None and mask == kept.mask:
+            costs = unit_cost[kept.order]
+            ratios = values[kept.order] / costs
+            if not kept.holds(ratios, class_node):
+                kept = None
+        else:
+            kept = None
+        if kept is None:
+            contended = (~saturated).nonzero()[0]
+            if not contended.size:
+                return populations, (flow_cost + need).tolist(), best
+            contended_node = class_node[contended]
+            costs = unit_cost[contended]
+            ratios = values[contended] / costs
+            rank = np.lexsort((-ratios, contended_node))
+            order = contended[rank]
+            costs = costs[rank]
+            ratios = ratios[rank]
+            kept = self._fill_order = _FillOrder(
+                mask,
+                order,
+                np.bincount(contended_node, minlength=n_nodes).tolist(),
+                max_consumers[order].tolist(),
+            )
+        caps = kept.caps
         # Below (1 - 1e-8) x the cheapest contended cost, budget / cost
         # + 1e-9 floors to 0 for every class left on the node.
         exhausted = float(np.minimum.reduce(costs)) * (1.0 - 1e-8)
-        costs_list = costs.tolist()
-        caps = max_consumers[order].tolist()
-        # Ratios are read only for the few unsatisfied classes BC(b,t)
-        # inspects, so they stay in the array.
-        ratio_at = ratios[rank].item
+        # The walk visits a fraction of the contended classes, so it reads
+        # costs and ratios one by one (a memoryview index gives the same
+        # Python float as tolist()) rather than converting them whole.
+        cost_at = memoryview(costs)
+        ratio_at = memoryview(ratios)
         filled: list[int] = []
         counts: list[int] = []
         right = 0
-        for b, (size, node_budget) in enumerate(
-            zip(np.bincount(contended_node, minlength=n_nodes).tolist(), budget.tolist())
-        ):
+        for b, (size, node_budget) in enumerate(zip(kept.sizes, budget.tolist())):
             if not size:
                 continue
             left, right = right, right + size
@@ -920,13 +989,13 @@ class VectorizedEngine(LRGPEngine):
                 if node_budget < exhausted:
                     stop = i
                     break
-                cost = costs_list[i]
+                cost = cost_at[i]
                 count = int(node_budget / cost + _FLOOR_SLACK)
                 cap = caps[i]
                 if count >= cap:
                     count = cap
                 elif best_ratio is None:
-                    ratio = ratio_at(i)
+                    ratio = ratio_at[i]
                     if -math.inf < ratio < math.inf:
                         best_ratio = ratio
                 if count:
@@ -942,14 +1011,14 @@ class VectorizedEngine(LRGPEngine):
                 # unless its n^max is 0.
                 for i in range(stop, right):
                     if caps[i]:
-                        ratio = ratio_at(i)
+                        ratio = ratio_at[i]
                         if -math.inf < ratio < math.inf:
                             best_ratio = ratio
                             break
             consumer_total[b] = total
             if best_ratio is not None:
                 best[b] = best_ratio
-        populations[order.take(filled)] = counts
+        populations[kept.order.take(filled)] = counts
         used = [cost + total for cost, total in zip(flow_cost.tolist(), consumer_total)]
         return populations, used, best
 

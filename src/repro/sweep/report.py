@@ -71,7 +71,10 @@ def _cell_row(cell: SweepCell) -> dict[str, Any]:
         "fault_plan": (
             None
             if config.fault_plan is None
-            else ",".join(f"{k}={v:g}" for k, v in config.fault_plan)
+            else ",".join(
+                f"{k}={'none' if v is None else format(v, 'g')}"
+                for k, v in config.fault_plan
+            )
         ),
         "iterations": config.iterations,
         "seed": config.seed,

@@ -55,9 +55,20 @@ def parse_gamma_policy(policy: str) -> tuple[str, float | None]:
     )
 
 
+def _fault_value(key: str, value: float | None) -> float | None:
+    """One fault-plan value as a float; ``None`` only where it means off."""
+    if value is None:
+        # RandomPlanParams types checkpoint_interval alone as float | None:
+        # None turns checkpointing off, so every restart is cold.
+        if key == "checkpoint_interval":
+            return None
+        raise ValueError(f"fault-plan parameter {key!r} must be a number, got None")
+    return float(value)
+
+
 def _normalize_fault_plan(
-    plan: Mapping[str, float] | None,
-) -> tuple[tuple[str, float], ...] | None:
+    plan: Mapping[str, float | None] | None,
+) -> tuple[tuple[str, float | None], ...] | None:
     """Sorted, validated (key, value) pairs — hashable and canonical.
 
     The values go through :class:`~repro.runtime.faults.RandomPlanParams`,
@@ -76,7 +87,7 @@ def _normalize_fault_plan(
             f"unknown fault-plan parameter(s) {sorted(unknown)}; "
             f"accepted: {sorted(accepted)}"
         )
-    items = tuple((key, float(plan[key])) for key in sorted(plan))
+    items = tuple((key, _fault_value(key, plan[key])) for key in sorted(plan))
     RandomPlanParams(**{"horizon": FAULT_HORIZON, **dict(items)})
     return items
 
@@ -96,7 +107,7 @@ class RunConfig:
     method: str = "lrgp"
     engine: str | None = None
     gamma: str = "adaptive"
-    fault_plan: tuple[tuple[str, float], ...] | None = None
+    fault_plan: tuple[tuple[str, float | None], ...] | None = None
     iterations: int = 250
     seed: int = 0
     repeat: int = 0
@@ -209,7 +220,7 @@ class SweepSpec:
     methods: tuple[str, ...] = ("lrgp",)
     engines: tuple[str | None, ...] = (None,)
     gammas: tuple[str, ...] = ("adaptive",)
-    fault_plans: tuple[Mapping[str, float] | None, ...] = (None,)
+    fault_plans: tuple[Mapping[str, float | None] | None, ...] = (None,)
     iterations: tuple[int, ...] = (250,)
     seeds: tuple[int, ...] = (0,)
     repeats: int = 1
@@ -254,8 +265,7 @@ class SweepSpec:
                     engine=engine,
                     gamma=gamma,
                     fault_plan=(
-                        None if plan is None
-                        else tuple(sorted((k, float(v)) for k, v in dict(plan).items()))
+                        None if plan is None else tuple(sorted(dict(plan).items()))
                     ),
                     iterations=iters,
                     seed=seed,

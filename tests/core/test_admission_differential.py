@@ -15,6 +15,12 @@ nodes whose budget covers every class.  Each runs on a *dense* problem,
 where every flow reaches every consumer node, and on a *sparse* one,
 where flows reach a subset, so the node/flow incidence triples the
 budgets are scattered from have both a full and a partly empty pattern.
+
+The engine keeps its contended fill order across calls, so a warm engine
+is checked too: one engine admits at rates perturbed between calls
+(unchanged, swapped, tied, moved far enough to change the contended set,
+or zeroed to free a flow's classes), and each call must match the
+reference while its kept order equals the one a cold engine sorts.
 """
 
 import math
@@ -33,6 +39,7 @@ from repro.model.problem import Problem, build_problem
 from repro.utility.base import UtilityFunction
 from repro.utility.functions import LogUtility
 from repro.utility.tolerance import ENGINE_EQUIVALENCE_RTOL
+from repro.workloads.base import base_workload
 from repro.workloads.datacenter import leaf_spine_workload
 from repro.workloads.generator import GeneratorConfig, generate_workload
 
@@ -41,13 +48,18 @@ INCIDENCES = ("dense", "sparse")
 
 
 def assert_admission_matches(
-    problem: Problem, rates: dict[str, float]
+    problem: Problem,
+    rates: dict[str, float],
+    engine: VectorizedEngine | None = None,
 ) -> tuple[dict[str, int], list[float]]:
     """Run both admissions at ``rates`` and compare node by node.
 
-    Returns the vectorized populations by class id and BC(b,t) by node.
+    ``engine`` (bound to ``problem``) carries its kept fill order from
+    earlier calls; a fresh one is built when it is ``None``.  Returns the
+    vectorized populations by class id and BC(b,t) by node.
     """
-    engine = VectorizedEngine(problem, LRGPConfig())
+    if engine is None:
+        engine = VectorizedEngine(problem, LRGPConfig())
     compiled = engine.compiled
     engine._rates = np.array(
         [rates[fid] for fid in compiled.flow_ids], dtype=np.float64
@@ -85,7 +97,9 @@ def with_free_classes(problem: Problem, free: set[str]) -> Problem:
 
 
 @st.composite
-def generated_problems(draw):
+def generated_problems(
+    draw, rate_mins=(0.0, 10.0), capacities=(1.0e3, 5.0e4, 9.0e5, 1.0e9)
+):
     """Generated problems spanning slack, tight and overloaded nodes."""
     rank_low = draw(st.floats(min_value=1.0, max_value=100.0))
     tied = draw(st.booleans())
@@ -98,8 +112,8 @@ def generated_problems(draw):
         rank_high=rank_low if tied else draw(st.floats(min_value=rank_low, max_value=200.0)),
         max_consumers_low=1,
         max_consumers_high=draw(st.integers(min_value=1, max_value=2000)),
-        rate_min=draw(st.sampled_from([0.0, 10.0])),
-        node_capacity=draw(st.sampled_from([1.0e3, 5.0e4, 9.0e5, 1.0e9])),
+        rate_min=draw(st.sampled_from(rate_mins)),
+        node_capacity=draw(st.sampled_from(capacities)),
         flow_node_cost=draw(st.sampled_from([3.0, 50.0, 5.0e3])),
         consumer_cost_low=19.0,
         consumer_cost_high=19.0 if tied else draw(st.floats(min_value=19.0, max_value=60.0)),
@@ -343,3 +357,163 @@ def test_non_finite_ratios_never_set_best_ratio(incidence, capacity):
     problem = one_node_problem(capacity=capacity, classes=classes, incidence=incidence)
     _, best = assert_admission_matches(problem, {"f": 1.0, "g": 1.0})
     assert best == [pytest.approx(5.0 * math.log(2.0))]
+
+
+# -- the kept fill order -------------------------------------------------------
+#
+# The engine keeps the last sort's contended order across calls and reuses
+# it while it still holds.  A warm engine must admit exactly as a cold one
+# does, so each call is checked against the reference and its kept order
+# against the one a fresh sort gives.
+
+PERTURBATIONS = ("unchanged", "swap", "tie", "contended", "free")
+
+
+def flows_at_a_node(data, problem: Problem) -> list[str]:
+    """The flows with classes at one drawn node that hosts two or more."""
+    shared = [
+        flows
+        for flows in (
+            sorted({problem.flow_of_class(c) for c in problem.classes_at_node(node_id)})
+            for node_id in problem.consumer_nodes()
+        )
+        if len(flows) >= 2
+    ]
+    return data.draw(st.sampled_from(shared), label="node flows") if shared else []
+
+
+def perturb(data, problem: Problem, rates: dict[str, float], kind: str) -> dict[str, float]:
+    """``rates`` moved for the next call, as ``kind`` names.
+
+    ``"swap"`` trades two flows' rates at a shared node, so their classes
+    there trade ratio order; ``"tie"`` gives every flow at such a node one
+    rate, an exact tie wherever the classes share rank and cost;
+    ``"contended"`` scales some rates far up or down, which moves budgets
+    and needs; ``"free"`` sets one flow's rate to 0, so its classes cost
+    nothing.  Generated flows share one rate interval, so a swapped or
+    copied rate stays in bounds.
+    """
+    rates = dict(rates)
+    if kind in ("swap", "tie"):
+        flows = flows_at_a_node(data, problem)
+        if flows:
+            first, second = data.draw(
+                st.lists(st.sampled_from(flows), min_size=2, max_size=2, unique=True),
+                label="pair",
+            )
+            if kind == "swap":
+                rates[first], rates[second] = rates[second], rates[first]
+            else:
+                rates.update(dict.fromkeys(flows, rates[first]))
+    elif kind == "contended":
+        for fid, flow in problem.flows.items():
+            factor = data.draw(st.sampled_from([0.01, 1.0, 100.0]), label=f"factor:{fid}")
+            rates[fid] = min(max(rates[fid] * factor, flow.rate_min), flow.rate_max)
+    elif kind == "free":
+        rates[data.draw(st.sampled_from(sorted(rates)), label="free flow")] = 0.0
+    return rates
+
+
+def assert_warm_admission_matches(
+    problem: Problem, rates: dict[str, float], engine: VectorizedEngine
+) -> None:
+    """The warm ``engine`` matches the reference, and its kept order is
+    the one a cold engine sorts at the same rates."""
+    assert_admission_matches(problem, rates, engine)
+    cold = VectorizedEngine(problem, LRGPConfig())
+    cold._rates = engine._rates
+    cold._admit(cold.compiled.class_values(cold._rates))
+    if cold._fill_order is None:  # nothing contended: no order to keep
+        return
+    warm = engine._fill_order
+    assert warm is not None
+    np.testing.assert_array_equal(warm.order, cold._fill_order.order)
+    assert warm.sizes == cold._fill_order.sizes
+    assert warm.caps == cold._fill_order.caps
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    # Rates can reach 0 (free classes); the capacities leave nodes neither
+    # always covered nor always overloaded.
+    problem=generated_problems(rate_mins=(0.0,), capacities=(5.0e4, 9.0e5)),
+    equal=st.booleans(),
+    kinds=st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_kept_order_matches_reference_across_calls(problem, equal, kinds, data):
+    engine = VectorizedEngine(problem, LRGPConfig())
+    rates = draw_rates(data, problem, equal)
+    assert_warm_admission_matches(problem, rates, engine)
+    for kind in kinds:
+        rates = perturb(data, problem, rates, kind)
+        assert_warm_admission_matches(problem, rates, engine)
+
+
+def test_swapped_and_tied_rates_re_sort_the_kept_order():
+    # One rank and one consumer cost: a class's ratio falls with its
+    # flow's rate, so trading two rates trades the classes' places while
+    # every class stays contended.
+    problem = tight_problem(
+        "dense",
+        rank_low=50.0, rank_high=50.0, max_consumers_low=10, max_consumers_high=30,
+    )
+    flows = sorted(problem.flows)
+    rates = {fid: 100.0 + 50.0 * i for i, fid in enumerate(flows)}
+    engine = VectorizedEngine(problem, LRGPConfig())
+    assert_warm_admission_matches(problem, rates, engine)
+    kept = engine._fill_order
+    assert kept is not None and kept.pairs is None
+    assert_warm_admission_matches(problem, rates, engine)
+    assert engine._fill_order is kept and kept.pairs is not None
+    swapped = dict(rates)
+    swapped[flows[0]], swapped[flows[1]] = rates[flows[1]], rates[flows[0]]
+    assert_warm_admission_matches(problem, swapped, engine)
+    resorted = engine._fill_order
+    assert resorted is not kept and resorted.mask == kept.mask
+    assert not np.array_equal(resorted.order, kept.order)
+    # One shared rate ties every class at a node: the fill order becomes
+    # the class order, which the swapped order is not.
+    assert_warm_admission_matches(problem, dict.fromkeys(flows, 150.0), engine)
+    tied = engine._fill_order
+    assert tied is not resorted and tied.mask == kept.mask
+
+
+def test_rebind_drops_the_kept_order():
+    # Same classes, costs and ratios, other n^max: every class stays
+    # contended and the kept order would still hold, but its caps would
+    # admit "a" past its new n^max.
+    def problem(caps: tuple[int, int]) -> Problem:
+        return one_node_problem(
+            capacity=30.0,
+            classes=[
+                ("a", LogUtility(scale=5.0), 1.0, caps[0]),
+                ("b", LogUtility(scale=2.0), 1.0, caps[1]),
+            ],
+        )
+
+    old, new = problem((100, 100)), problem((10, 20))
+    engine = VectorizedEngine(old, LRGPConfig())
+    assert assert_admission_matches(old, {"f": 1.0}, engine)[0] == {"a": 29, "b": 0}
+    assert engine._fill_order is not None
+    engine.bind(new, preserve_state=True)
+    assert engine._fill_order is None
+    assert assert_admission_matches(new, {"f": 1.0}, engine)[0] == {"a": 10, "b": 19}
+
+
+def test_settled_steps_reuse_the_kept_order(monkeypatch):
+    # On base the contended order settles within a few steps; from then
+    # on no step sorts.
+    sorted_at: list[int] = []
+    lexsort = np.lexsort
+
+    def counting_lexsort(keys, *args, **kwargs):
+        sorted_at.append(step)
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting_lexsort)
+    engine = VectorizedEngine(base_workload(), LRGPConfig())
+    for step in range(80):
+        engine.step()
+    assert sorted_at and sorted_at[0] == 0
+    assert [k for k in sorted_at if k >= 30] == []

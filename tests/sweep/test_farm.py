@@ -73,6 +73,18 @@ class TestExecuteRun:
         assert payload["result"]["counters"]["messages_sent"] > 0
 
 
+    def test_fault_cell_without_checkpoints_reports_it(self):
+        payload = execute_run(
+            RunConfig(
+                workload="micro",
+                iterations=10,
+                fault_plan=(("horizon", 40.0), ("checkpoint_interval", None)),
+            )
+        )
+        assert payload["kind"] == "fault"
+        assert payload["result"]["plan"]["checkpoint_interval"] is None
+
+
 class TestRunSweep:
     def test_first_pass_executes_everything(self, cache):
         result = run_sweep(SPEC, cache=cache)

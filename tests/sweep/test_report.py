@@ -70,6 +70,16 @@ class TestCsv:
         assert float(rows[0]["utility"]) > 0
         assert rows[0]["cached"] == "True"
 
+    def test_fault_plan_without_checkpoints_prints_none(self, tmp_path):
+        spec = SweepSpec(
+            workloads=("micro",),
+            fault_plans=({"horizon": 40.0, "checkpoint_interval": None},),
+            iterations=(10,),
+        )
+        result = run_sweep(spec, cache=ResultCache(tmp_path / "cache"))
+        (row,) = csv.DictReader(io.StringIO(sweep_to_csv(result)))
+        assert row["fault_plan"] == "checkpoint_interval=none,horizon=40"
+
 
 class TestJson:
     def test_export_carries_farm_bookkeeping_and_cells(self, result):

@@ -91,6 +91,24 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(workload="micro", fault_plan=plan)
 
+    def test_checkpoint_interval_none_turns_checkpointing_off(self):
+        # The sweep twin of ``repro chaos --no-checkpoint``.
+        config = RunConfig(
+            workload="micro", fault_plan={"checkpoint_interval": None, "horizon": 50}
+        )
+        assert config.fault_plan == (("checkpoint_interval", None), ("horizon", 50.0))
+        clone = RunConfig.from_dict(config.to_dict())
+        assert clone == config
+        assert clone.config_hash() == config.config_hash()
+        assert clone.config_hash() != RunConfig(
+            workload="micro", fault_plan={"horizon": 50}
+        ).config_hash()
+
+    @pytest.mark.parametrize("key", ["crash_rate", "horizon", "warmup"])
+    def test_none_for_a_numeric_fault_plan_key_is_named(self, key):
+        with pytest.raises(ValueError, match=f"{key!r} must be a number"):
+            RunConfig(workload="micro", fault_plan={key: None})
+
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             RunConfig(iterations=-1)
@@ -204,6 +222,13 @@ class TestSweepSpec:
             repeats=2,
         )
         assert SweepSpec.from_dict(spec.to_dict()) == spec
+
+    def test_json_null_checkpoint_interval_expands(self):
+        spec = SweepSpec.from_dict(
+            json.loads('{"workloads": ["micro"], "fault_plans": [{"checkpoint_interval": null}]}')
+        )
+        (cell,) = spec.expand()
+        assert cell.fault_plan == (("checkpoint_interval", None),)
 
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown sweep-spec field"):

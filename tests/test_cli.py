@@ -856,6 +856,19 @@ class TestSweepCommand:
             main(["sweep", "run", "--workload", "base:link_capacity=inf",
                   *self.cache_args(tmp_path)])
 
+    def test_fault_plan_can_turn_checkpointing_off(self, tmp_path, capsys):
+        assert main(
+            ["sweep", "run", "--dry-run", "--workload", "micro",
+             "--fault-plan", "checkpoint_interval=none,horizon=40",
+             *self.cache_args(tmp_path)]
+        ) == 0
+        assert "1 to execute" in capsys.readouterr().out
+
+    def test_none_for_a_numeric_fault_plan_key_exits(self, tmp_path):
+        with pytest.raises(SystemExit, match="'crash_rate' must be a number"):
+            main(["sweep", "run", "--workload", "micro",
+                  "--fault-plan", "crash_rate=none", *self.cache_args(tmp_path)])
+
     def test_show_and_clean(self, tmp_path, capsys):
         cache = self.cache_args(tmp_path)
         assert main(["sweep", "run", *self.GRID, *cache]) == 0
